@@ -160,7 +160,9 @@ def _print_orbit_report(report: OrbitReport) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
     verdict = reidemeister_number(phi)
-    report = realized_periods(phi.matrix)
+    report = verdict.orbit_report
+    if report is None:  # the det-zero rule decides without an orbit analysis
+        report = realized_periods(phi.matrix)
     d = unit_order(phi.u, phi.m)
     if args.json:
         out = verdict.to_json()

@@ -2,10 +2,13 @@
 
 Everything in this module runs on plain Python integers, so determinants,
 matrix powers, Smith normal forms and kernel computations are exact at any
-size.  No floating point is used anywhere: finite-order detection goes
-through the Euler-phi admissibility bound for torsion in GL_k(Z) instead of
-eigenvalues, and rational data (dual-torus characters) is handled with
-``fractions.Fraction``.
+size.  There are two eliminations: Bareiss ``det`` for determinants, and
+``smith_normal_form``, from which ``solve``, ``IntMatrix.inverse``,
+``kernel_rank`` and the coset enumeration are all read off.  No floating
+point is used anywhere: finite-order detection goes through the Euler-phi
+admissibility bound for torsion in GL_k(Z) instead of eigenvalues.
+``fractions.Fraction`` appears only in ``fixed_characters``, whose
+dual-torus characters are rational.
 """
 
 from __future__ import annotations
@@ -151,28 +154,16 @@ class IntMatrix:
         return result
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse; the matrix must be invertible over the integers."""
-        k = self.k
-        a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-             for i, row in enumerate(self.rows)]
-        for col in range(k):
-            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(k):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        out = []
-        for row in a:
-            tail = row[k:]
-            if any(x.denominator != 1 for x in tail):
-                raise ValueError("inverse is not integral; matrix is not unimodular")
-            out.append(tuple(int(x) for x in tail))
-        return IntMatrix(out)
+        """Exact inverse; the matrix must be invertible over the integers.
+
+        Read off the Smith form: U M V = I gives M^-1 = V U.
+        """
+        dec = smith_normal_form(self)
+        if 0 in dec.diagonal:
+            raise ValueError("matrix is singular")
+        if any(d != 1 for d in dec.diagonal):
+            raise ValueError("inverse is not integral; matrix is not unimodular")
+        return dec.V * dec.U
 
     def _check_same_size(self, other: "IntMatrix") -> None:
         if not isinstance(other, IntMatrix) or other.k != self.k:
@@ -218,7 +209,6 @@ class SmithDecomposition:
     D: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -230,7 +220,7 @@ def _identity_lists(k: int) -> list[list[int]]:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize over Z, tracking all four transform matrices.
+    """Diagonalize over Z, tracking U, U^-1 and V.
 
     Pivot rule: smallest nonzero absolute value in the working submatrix,
     scanning rows before columns with lowest indices winning ties.  This
@@ -239,7 +229,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     k = m.k
     a = [list(row) for row in m.rows]
     u, uinv = _identity_lists(k), _identity_lists(k)
-    v, vinv = _identity_lists(k), _identity_lists(k)
+    v = _identity_lists(k)
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -264,14 +254,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         for r in range(k):
             a[r][i], a[r][j] = a[r][j], a[r][i]
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i: int, j: int, q: int) -> None:
         # col i += q * col j
         for r in range(k):
             a[r][i] += q * a[r][j]
             v[r][i] += q * v[r][j]
-        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
 
     def pick_pivot(s: int) -> Optional[tuple[int, int]]:
         best = None
@@ -327,7 +315,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         D=IntMatrix(a),
         V=IntMatrix(v),
         U_inv=IntMatrix(uinv),
-        V_inv=IntMatrix(vinv),
     )
 
 
@@ -350,27 +337,7 @@ def solve(m: IntMatrix, target: Iterable[int]) -> Optional[Vector]:
 
 def kernel_rank(m: IntMatrix) -> int:
     """Rank over Q of the solution space of M x = 0."""
-    return m.k - _rational_rank(m.rows)
-
-
-def _rational_rank(rows: tuple[tuple[int, ...], ...]) -> int:
-    a = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(a)
-    n_cols = len(a[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(n_rows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+    return smith_normal_form(m).diagonal.count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +487,20 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
                 realized[per] = unit_vector(k, i)
         return OrbitReport(None, tuple(sorted(realized.items())), basis)
     ident = IntMatrix.identity(k)
-    ranks = {r: kernel_rank(a ** r - ident) for r in _divisors(order)}
+    ranks: dict[int, int] = {}
     for r in _divisors(order):
-        if r == 1:
-            continue
-        if all(ranks[r // q] < ranks[r] for q in _prime_factors(r)):
-            realized[r] = _exact_period_witness(a, r, order)
+        fix = a ** r - ident
+        ranks[r] = kernel_rank(fix)
+        if r > 1 and all(ranks[r // q] < ranks[r] for q in _prime_factors(r)):
+            realized[r] = _exact_period_witness(a, r, order, smith_normal_form(fix))
     return OrbitReport(order, tuple(sorted(realized.items())), basis)
 
 
-def _exact_period_witness(a: IntMatrix, r: int, order: int) -> Vector:
+def _exact_period_witness(
+    a: IntMatrix, r: int, order: int, dec: SmithDecomposition
+) -> Vector:
+    """A point of exact period r, from the Smith form ``dec`` of A^r - I."""
     k = a.k
-    dec = smith_normal_form(a ** r - IntMatrix.identity(k))
     basis = [
         tuple(dec.V.rows[row][c] for row in range(k))
         for c in range(k)

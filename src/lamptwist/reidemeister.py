@@ -18,7 +18,9 @@ from typing import Optional
 
 from .lattice import (
     IntMatrix,
+    OrbitReport,
     Vector,
+    _is_prime,
     as_vector,
     coset_representatives,
     det,
@@ -113,13 +115,15 @@ class SigmaClassification:
     base contributes a single twisted class.  The other kinds certify
     infinitely many classes: either a basis vector with unbounded orbit, or
     a realized period pair (s, t) whose combined length r = lcm(s, t) makes
-    1 - u^r a non-unit mod m.
+    1 - u^r a non-unit mod m.  ``orbit_report`` is the orbit analysis of A
+    that the decision read.
     """
 
     kind: str
     period_witness: Optional[tuple[int, int]] = None
     orbit_length: Optional[int] = None
     obstruction_vector: Optional[Vector] = None
+    orbit_report: Optional[OrbitReport] = field(default=None, compare=False, repr=False)
 
 
 def classify_sigma(phi: WreathAutomorphism) -> SigmaClassification:
@@ -138,23 +142,31 @@ def classify_sigma(phi: WreathAutomorphism) -> SigmaClassification:
         return SigmaClassification(
             INFINITE_ORBIT,
             obstruction_vector=tuple(1 if j == idx else 0 for j in range(a.k)),
+            orbit_report=report,
         )
     t = point_period(a, phi.effective_x0)
     for s in sorted(report.periods):
         r = math.lcm(s, t)
         if _is_unit_gap(phi.u, r, phi.m) != 1:
-            return SigmaClassification(NON_EPI, period_witness=(s, t), orbit_length=r)
-    return SigmaClassification(EPI_EVERYWHERE)
+            return SigmaClassification(
+                NON_EPI, period_witness=(s, t), orbit_length=r, orbit_report=report
+            )
+    return SigmaClassification(EPI_EVERYWHERE, orbit_report=report)
 
 
 @dataclass(frozen=True)
 class ReidemeisterVerdict:
-    """Finite(value) or Infinite, plus the certificate that produced it."""
+    """Finite(value) or Infinite, plus the certificate that produced it.
+
+    ``orbit_report`` is the orbit analysis behind the verdict; it is None
+    on the det-zero rule, which needs none, and is not serialized.
+    """
 
     finite: bool
     value: Optional[int]
     rule: str
     witness: dict = field(default_factory=dict)
+    orbit_report: Optional[OrbitReport] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": "finite" if self.finite else "infinite"}
@@ -194,6 +206,7 @@ def reidemeister_number(phi: WreathAutomorphism) -> ReidemeisterVerdict:
             None,
             RULE_INFINITE_ORBIT,
             {"basis_vector": list(cls.obstruction_vector)},
+            cls.orbit_report,
         )
     if cls.kind == NON_EPI:
         s, t = cls.period_witness
@@ -208,12 +221,14 @@ def reidemeister_number(phi: WreathAutomorphism) -> ReidemeisterVerdict:
                 "r": r,
                 "unit_gap": _is_unit_gap(phi.u, r, phi.m),
             },
+            cls.orbit_report,
         )
     return ReidemeisterVerdict(
         True,
         abs(d),
         RULE_CYLINDER,
         {"det_i_minus_a": d, "unit_order": unit_order(phi.u, phi.m)},
+        cls.orbit_report,
     )
 
 
@@ -487,17 +502,6 @@ ORDER_THREE_BLOCK = IntMatrix([[0, 1], [-1, -1]])
 class GroupStatus:
     status: str
     example: Optional[WreathAutomorphism] = None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def r_infinity_status(m: int, k: int) -> GroupStatus:

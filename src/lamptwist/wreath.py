@@ -215,10 +215,6 @@ class WreathAutomorphism:
         inner = gamma if self.inner is None else gamma * self.inner
         return WreathAutomorphism(self.matrix, self.m, self.u, self.x0, inner)
 
-    def barmap(self, v: Iterable[int]) -> Vector:
-        """Induced automorphism of the translation quotient Z^k."""
-        return self.matrix.apply(v)
-
     def apply_base(self, f: FiniteSupportFunction) -> FiniteSupportFunction:
         """Image of a base element; inner twists contribute their translation."""
         if f.m != self.m:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lamptwist import cli, reidemeister
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -60,6 +61,33 @@ def test_classify_m2_infinite(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "infinite"
     assert report["certificate"]["rule"] == "non-epi-orbit"
+
+
+@pytest.mark.parametrize(
+    "matrix, m, u, rule",
+    [
+        ("0,1;-1,-1", 3, 2, "cylinder"),
+        ("-1", 2, 1, "non-epi-orbit"),
+        ("2,1;1,1", 3, 2, "infinite-orbit"),
+        ("1,0;0,1", 3, 2, "det-zero"),
+    ],
+)
+def test_classify_computes_orbit_report_once(monkeypatch, capsys, matrix, m, u, rule):
+    calls = []
+    original = cli.realized_periods
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(cli, "realized_periods", counting)
+    monkeypatch.setattr(reidemeister, "realized_periods", counting)
+    argv = ["classify", "--m", str(m), "--u", str(u), "--matrix", matrix, "--json"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["certificate"]["rule"] == rule
+    assert len(calls) == 1
+    assert report["orbit_report"] == cli._orbit_report_json(original(calls[0]))
 
 
 def test_classify_malformed_matrix(capsys):
