@@ -1,60 +1,34 @@
-"""Exact twisted-conjugacy computations for restricted wreath products Z_m wr Z^k."""
+"""Exact twisted-conjugacy computations for restricted wreath products Z_m wr Z^k.
 
-from .lattice import (
-    IntMatrix,
-    OrbitReport,
-    SmithDecomposition,
-    Vector,
-    coset_representatives,
-    det,
-    fixed_characters,
-    kernel_rank,
-    matrix_order,
-    point_period,
-    realized_periods,
-    smith_normal_form,
-    torsion_order_bound,
-)
+The top-level names are the entry points: element and automorphism types,
+the element grammar, the Reidemeister verdict, the twisted-conjugacy
+decisions, the group-level R-infinity answer and the finite-quotient
+oracle.  Everything else lives in its submodule; the paper's proof devices
+are in ``lamptwist.devices``.
+"""
+
+from .lattice import IntMatrix
 from .wreath import (
     FiniteSupportFunction,
     WreathAutomorphism,
     WreathElement,
-    element_from_json,
-    element_to_json,
     format_element,
-    lex_extreme_vertex,
     parse_element,
-    shifted_sum_support,
-    twisted_transform,
 )
 from .reidemeister import (
     ConjugacyAnswer,
     GroupStatus,
     ReidemeisterVerdict,
-    SigmaClassification,
     are_twisted_conjugate_full,
     are_twisted_conjugate_sigma,
     class_representatives,
-    classify_sigma,
-    cyclic_block_det,
-    delta_chain_check,
     r_infinity_status,
-    reidemeister_abelian,
     reidemeister_number,
-    unit_order,
 )
 from .finite_oracle import (
     BudgetExceededError,
-    FiniteAutomorphism,
-    FiniteWreathGroup,
-    IrrepLabel,
     induce_automorphism,
-    irreps_little_group,
     oracle_report,
-    phi_hat_fixed_count,
-    project,
-    tbft_check,
-    twisted_classes_bruteforce,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,8 @@ from typing import Optional
 from .finite_oracle import (
     DEFAULT_ELEMENT_BUDGET,
     BudgetExceededError,
+    FiniteAutomorphism,
+    check_budget,
     induce_automorphism,
     oracle_report,
     twisted_classes_bruteforce,
@@ -237,13 +239,20 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    phi = _load_spec(args)
+def _induced_quotient(phi: WreathAutomorphism, args: argparse.Namespace) -> FiniteAutomorphism:
+    """The automorphism phi induces on the quotient mod n, once its size is known to fit."""
     if args.n < 1:
         raise InputError("quotient parameter n must be >= 1")
-    aut = induce_automorphism(phi, args.n)
+    check_budget(phi.m, args.n, phi.k, args.budget)
+    return induce_automorphism(phi, args.n)
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    phi = _load_spec(args)
+    if args.transport_checks < 0:
+        raise InputError("--transport-checks must be >= 0")
+    aut = _induced_quotient(phi, args)
     group = aut.group
-    group.check_budget(args.budget)
     report = oracle_report(group, aut, args.budget)
     verdict = reidemeister_number(phi)
     report["library"] = verdict.to_json()
@@ -290,9 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_classes(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
-    aut = induce_automorphism(phi, args.n)
+    aut = _induced_quotient(phi, args)
     group = aut.group
-    group.check_budget(args.budget)
     count, reps = twisted_classes_bruteforce(group, aut, args.budget)
     if args.json:
         print(
@@ -323,19 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="element/node budget for brute-force work",
-    )
     spec_args = argparse.ArgumentParser(add_help=False)
     spec_args.add_argument("spec", nargs="?", help="automorphism spec file (JSON)")
     spec_args.add_argument("--m", type=int, help="modulus (inline spec)")
     spec_args.add_argument("--u", type=int, default=1, help="unit u (inline spec)")
     spec_args.add_argument("--matrix", help='inline matrix "a,b;c,d"')
     spec_args.add_argument("--x0", help='inline offset "a,b"')
+    quotient_args = argparse.ArgumentParser(add_help=False)
+    quotient_args.add_argument("n", type=int, help="lattice quotient parameter")
+    quotient_args.add_argument("--budget", type=int, default=DEFAULT_ELEMENT_BUDGET,
+                               help="largest quotient order to enumerate")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -353,22 +358,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide twisted conjugacy of two elements")
     p.add_argument("element1", help='element, e.g. "f=[(0,0):1] t=(0,0)"')
     p.add_argument("element2")
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                   help="node budget of the search used when det(I - A) = 0")
     p.set_defaults(func=cmd_twisted_eq)
 
     p = sub.add_parser("orbits", parents=[common, spec_args],
                        help="orbit report of the quotient matrix")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("verify", parents=[common, spec_args],
+    p = sub.add_parser("verify", parents=[common, spec_args, quotient_args],
                        help="cross-check the verdict on a finite quotient")
-    p.add_argument("n", type=int, help="lattice quotient parameter")
     p.add_argument("--transport-checks", type=int, default=0,
                    help="also verify class-count invariance under N random inner twists")
+    p.add_argument("--seed", type=int, default=0, help="seed of the transport checks")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle-classes", parents=[common, spec_args],
+    p = sub.add_parser("oracle-classes", parents=[common, spec_args, quotient_args],
                        help="brute-force twisted classes of a finite quotient")
-    p.add_argument("n", type=int, help="lattice quotient parameter")
     p.set_defaults(func=cmd_oracle_classes)
 
     return parser
@@ -377,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is None:
-        args.budget = (
-            DEFAULT_SEARCH_BUDGET if args.command == "twisted-eq" else DEFAULT_ELEMENT_BUDGET
-        )
     try:
         return args.func(args)
     except InputError as exc:

@@ -29,6 +29,20 @@ class BudgetExceededError(RuntimeError):
     """The requested quotient is larger than the configured element budget."""
 
 
+def check_budget(m: int, n: int, k: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> None:
+    """Raise BudgetExceededError if Z_m wr (Z/n)^k has more than ``budget`` elements.
+
+    Decided from (m, n, k) alone, before anything is enumerated.  Once n^k
+    reaches the bit length of the budget, m^(n^k) >= 2^(n^k) already
+    exceeds it, so that power is only formed when it is small.
+    """
+    npk = n ** k
+    if npk >= budget.bit_length() or m ** npk * npk > budget:
+        raise BudgetExceededError(
+            f"group of order {m}^({n}^{k}) * {n}^{k} exceeds the element budget {budget}"
+        )
+
+
 class FiniteWreathGroup:
     """The quotient Z_m wr (Z/n)^k with canonical element encoding.
 
@@ -48,12 +62,6 @@ class FiniteWreathGroup:
 
     def __repr__(self) -> str:
         return f"FiniteWreathGroup(m={self.m}, n={self.n}, k={self.k})"
-
-    def check_budget(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> None:
-        if self.size > budget:
-            raise BudgetExceededError(
-                f"group of order {self.size} exceeds the element budget {budget}"
-            )
 
     def identity(self) -> FiniteElement:
         return (0,) * len(self.positions), (0,) * self.k
@@ -106,11 +114,6 @@ class FiniteWreathGroup:
         return tuple(vals), tuple(c % self.n for c in g.t)
 
 
-def project(g: WreathElement, n: int) -> FiniteElement:
-    """Standalone projection of g into Z_m wr (Z/n)^k."""
-    return FiniteWreathGroup(g.m, n, g.k).project(g)
-
-
 class FiniteAutomorphism:
     """Automorphism of a finite quotient induced by a WreathAutomorphism.
 
@@ -147,11 +150,6 @@ class FiniteAutomorphism:
         }
         self.inner = inner
         self.inner_inv = group.inverse(inner) if inner is not None else None
-
-    def standard_part(self) -> "FiniteAutomorphism":
-        if self.inner is None:
-            return self
-        return FiniteAutomorphism(self.group, self.matrix, self.u, self.x0)
 
     def twist(self, gamma: FiniteElement) -> "FiniteAutomorphism":
         """Compose an inner twist on the left: conjugation by gamma after self."""
@@ -203,7 +201,7 @@ def twisted_classes_bruteforce(
     units); representatives are the least element of each class in the
     canonical tuple order.
     """
-    group.check_budget(budget)
+    check_budget(group.m, group.n, group.k, budget)
     elems = list(group.elements())
     index = {e: i for i, e in enumerate(elems)}
     parent = list(range(len(elems)))
@@ -279,7 +277,7 @@ def irreps_little_group(
     together with a character eta of its stabilizer induces one
     irreducible of dimension equal to the orbit size.
     """
-    group.check_budget(budget)
+    check_budget(group.m, group.n, group.k, budget)
     m = group.m
     npk = len(group.positions)
     labels = []
@@ -323,19 +321,8 @@ def phi_hat_fixed_count(
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> int:
     """Number of irreducible representation classes fixed by pullback."""
-    std = aut.standard_part()
     labels = irreps_little_group(group, budget)
-    return sum(1 for label in labels if _transport_label(group, std, label) == label)
-
-
-def tbft_check(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> bool:
-    """Twisted class count equals the fixed representation count."""
-    count, _ = twisted_classes_bruteforce(group, aut, budget)
-    return count == phi_hat_fixed_count(group, aut, budget)
+    return sum(1 for label in labels if _transport_label(group, aut, label) == label)
 
 
 def oracle_report(

@@ -7,14 +7,11 @@ size.  There are two eliminations: Bareiss ``det`` for determinants, and
 ``kernel_rank`` and the coset enumeration are all read off.  No floating
 point is used anywhere: finite-order detection goes through the Euler-phi
 admissibility bound for torsion in GL_k(Z) instead of eigenvalues.
-``fractions.Fraction`` appears only in ``fixed_characters``, whose
-dual-torus characters are rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional
@@ -208,7 +205,6 @@ class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    U_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -220,7 +216,7 @@ def _identity_lists(k: int) -> list[list[int]]:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize over Z, tracking U, U^-1 and V.
+    """Diagonalize over Z, tracking U and V.
 
     Pivot rule: smallest nonzero absolute value in the working submatrix,
     scanning rows before columns with lowest indices winning ties.  This
@@ -228,27 +224,21 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """
     k = m.k
     a = [list(row) for row in m.rows]
-    u, uinv = _identity_lists(k), _identity_lists(k)
+    u = _identity_lists(k)
     v = _identity_lists(k)
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(k):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(k):
-            uinv[r][i] = -uinv[r][i]
 
     def row_add(i: int, j: int, q: int) -> None:
-        # row i += q * row j; inverse transform gets the opposite column op
+        # row i += q * row j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(k):
-            uinv[r][j] -= q * uinv[r][i]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(k):
@@ -310,12 +300,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         if a[s][s] < 0:
             row_negate(s)
 
-    return SmithDecomposition(
-        U=IntMatrix(u),
-        D=IntMatrix(a),
-        V=IntMatrix(v),
-        U_inv=IntMatrix(uinv),
-    )
+    return SmithDecomposition(U=IntMatrix(u), D=IntMatrix(a), V=IntMatrix(v))
 
 
 def solve(m: IntMatrix, target: Iterable[int]) -> Optional[Vector]:
@@ -520,33 +505,7 @@ def _exact_period_witness(
 
 
 # ---------------------------------------------------------------------------
-# fixed characters and coset enumeration
-
-
-def fixed_characters(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """All characters chi of the k-torus with chi o A = chi.
-
-    Characters are rational vectors modulo 1; the fixed ones solve
-    (A^T - I) chi = 0 (mod 1) and are enumerated through the Smith form of
-    A^T - I.  Requires det(I - A) != 0, and returns exactly |det(I - A)|
-    characters, each with entries in [0, 1).
-    """
-    k = a.k
-    n = a.transpose() - IntMatrix.identity(k)
-    if det(n) == 0:
-        raise ValueError("infinitely many fixed characters: det(I - A) = 0")
-    dec = smith_normal_form(n)
-    diag = dec.diagonal
-    chars = []
-    for combo in product(*(range(d) for d in diag)):
-        psi = [Fraction(c, d) for c, d in zip(combo, diag)]
-        chi = tuple(
-            sum((Fraction(dec.V.rows[row][c]) * psi[c] for c in range(k)), Fraction(0)) % 1
-            for row in range(k)
-        )
-        chars.append(chi)
-    chars.sort()
-    return tuple(chars)
+# coset enumeration
 
 
 def coset_representatives(m: IntMatrix) -> tuple[Vector, ...]:
@@ -558,16 +517,7 @@ def coset_representatives(m: IntMatrix) -> tuple[Vector, ...]:
     if det(m) == 0:
         raise ValueError("infinite index: det = 0")
     dec = smith_normal_form(m)
-    diag = dec.diagonal
+    u_inv = dec.U.inverse()
     return tuple(
-        dec.U_inv.apply(combo) for combo in product(*(range(d) for d in diag))
-    )
-
-
-def coset_index(m: IntMatrix, x: Iterable[int]) -> tuple[int, ...]:
-    """Canonical coordinates of x modulo M Z^k (diagonal residues in Smith form)."""
-    dec = smith_normal_form(m)
-    ux = dec.U.apply(x)
-    return tuple(
-        b % d if d else b for d, b in zip(dec.diagonal, ux)
+        u_inv.apply(combo) for combo in product(*(range(d) for d in dec.diagonal))
     )

@@ -21,7 +21,6 @@ from .lattice import (
     OrbitReport,
     Vector,
     _is_prime,
-    as_vector,
     coset_representatives,
     det,
     matrix_order,
@@ -80,26 +79,6 @@ def reidemeister_abelian(a: IntMatrix) -> Optional[int]:
     """Class count of A acting on Z^k: |det(I - A)|, or None when that is 0."""
     d = det(IntMatrix.identity(a.k) - a)
     return abs(d) if d else None
-
-
-def cyclic_block_det(u: int, s: int, m: int) -> int:
-    """Determinant mod m of the s x s orbit-block matrix of 1 - phi'.
-
-    The block has 1 on the diagonal and -u on the subdiagonal and in the
-    top-right corner; the determinant is computed by direct expansion and
-    equals 1 - u^s mod m.
-    """
-    if s < 1:
-        raise ValueError("block size must be positive")
-    if s == 1:
-        return (1 - u) % m
-    rows = [[0] * s for _ in range(s)]
-    for i in range(s):
-        rows[i][i] = 1
-        if i:
-            rows[i][i - 1] = -u
-    rows[0][s - 1] = -u
-    return det(IntMatrix(rows)) % m
 
 
 def _is_unit_gap(u: int, r: int, m: int) -> int:
@@ -359,39 +338,6 @@ def are_twisted_conjugate_sigma(
     witness = FiniteSupportFunction(m, entries)
     assert h1 - h2 == witness - phi.apply_base(witness)
     return True, witness
-
-
-def delta_chain_check(
-    phi: WreathAutomorphism,
-    x1,
-    x2,
-    t_max: Optional[int] = None,
-) -> bool:
-    """Necessary condition for two base generators to share a twisted class.
-
-    For modulus 2 only: checks whether iterating the affine position map
-    x -> A x + x0 carries x1 to x2 (or x2 to x1) within t_max steps.  For
-    finite-order A with the default bound ord(A) * k a False answer is
-    definitive; for infinite order a bound must be supplied and False only
-    means the condition failed up to that bound.  Chain success alone never
-    certifies equivalence; confirm with are_twisted_conjugate_sigma.
-    """
-    if phi.m != 2:
-        raise ValueError("the chain condition applies to modulus 2 only")
-    x1, x2 = as_vector(x1), as_vector(x2)
-    a, x0 = phi.matrix, phi.effective_x0
-    if t_max is None:
-        order = matrix_order(a)
-        if order is None:
-            raise ValueError("supply t_max explicitly for infinite-order matrices")
-        t_max = order * phi.k
-    w1, w2 = x1, x2
-    for _ in range(t_max + 1):
-        if w1 == x2 or w2 == x1:
-            return True
-        w1 = vec_add(a.apply(w1), x0)
-        w2 = vec_add(a.apply(w2), x0)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .lattice import (
     IntMatrix,
@@ -252,62 +252,6 @@ class WreathAutomorphism:
 def twisted_transform(phi: WreathAutomorphism, g: WreathElement, h: WreathElement) -> WreathElement:
     """One twisted-conjugation step: h * g * phi(h)^-1."""
     return h * g * phi.apply(h).inverse()
-
-
-def shifted_sum_support(
-    m: int,
-    points: Sequence[Iterable[int]],
-    coeffs: Sequence[int],
-    shifts: Sequence[tuple[Iterable[int], int]],
-) -> set[Vector]:
-    """Support of a sum of scaled translates of one weighted point set.
-
-    Each shift (y, s) contributes s * coeffs[i] at position y + points[i];
-    contributions at coinciding positions add mod m and vanishing totals
-    leave the support.
-    """
-    points = [as_vector(p) for p in points]
-    if len(points) != len(coeffs):
-        raise ValueError("points and coefficients must pair up")
-    if any(c % m == 0 for c in coeffs):
-        raise ValueError("coefficients must be nonzero mod m")
-    shift_vecs = [as_vector(y) for y, _ in shifts]
-    if len(set(shift_vecs)) != len(shift_vecs):
-        raise ValueError("shift vectors must be pairwise distinct")
-    if any(s % m == 0 for _, s in shifts):
-        raise ValueError("shift multipliers must be nonzero mod m")
-    accum: dict[Vector, int] = {}
-    for y, s in zip(shift_vecs, (s for _, s in shifts)):
-        for p, c in zip(points, coeffs):
-            pos = vec_add(y, p)
-            accum[pos] = (accum.get(pos, 0) + s * c) % m
-    return {pos for pos, v in accum.items() if v}
-
-
-def lex_extreme_vertex(points: Iterable[Iterable[int]], directions: Sequence[int]) -> Vector:
-    """Signed-lexicographic extreme point of a finite set.
-
-    ``directions`` is a signed permutation of the 1-based axes, e.g.
-    (+2, -1): maximize coordinate 2 first, then minimize coordinate 1 among
-    the survivors.  The result is the unique point left after extremizing
-    every coordinate, and commutes with translation of the whole set.
-    """
-    pts = {as_vector(p) for p in points}
-    if not pts:
-        raise ValueError("empty point set has no vertex")
-    k = len(next(iter(pts)))
-    axes = [abs(d) for d in directions]
-    if sorted(axes) != list(range(1, k + 1)) or any(d == 0 for d in directions):
-        raise ValueError("directions must be a signed permutation of 1..k")
-    for d in directions:
-        ax = abs(d) - 1
-        if d > 0:
-            best = max(p[ax] for p in pts)
-        else:
-            best = min(p[ax] for p in pts)
-        pts = {p for p in pts if p[ax] == best}
-    assert len(pts) == 1
-    return next(iter(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+from lamptwist.devices import cyclic_block_det, fixed_characters, shifted_sum_support
 from lamptwist.finite_oracle import (
     induce_automorphism,
     phi_hat_fixed_count,
@@ -18,20 +19,17 @@ from lamptwist.lattice import (
     IntMatrix,
     coset_representatives,
     det,
-    fixed_characters,
     smith_normal_form,
 )
 from lamptwist.reidemeister import (
     ORDER_THREE_BLOCK,
     are_twisted_conjugate_full,
     are_twisted_conjugate_sigma,
-    cyclic_block_det,
     reidemeister_number,
 )
 from lamptwist.wreath import (
     WreathAutomorphism,
     WreathElement,
-    shifted_sum_support,
     twisted_transform,
 )
 

@@ -1,18 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import lamptwist
 from lamptwist import cli, reidemeister
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_OK,
+    build_parser,
     main,
     spec_from_json,
     spec_to_json,
 )
+from lamptwist.finite_oracle import DEFAULT_ELEMENT_BUDGET
 from lamptwist.lattice import IntMatrix
-from lamptwist.reidemeister import ORDER_THREE_BLOCK
+from lamptwist.reidemeister import DEFAULT_SEARCH_BUDGET, ORDER_THREE_BLOCK
 from lamptwist.wreath import WreathAutomorphism, WreathElement
 
 CASEP3_SPEC = {
@@ -165,3 +173,57 @@ def test_oracle_classes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["twisted_classes"] == 2
     assert len(report["representatives"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Z_3 wr (Z/100)^2: 3^10000 elements, an integer too long to print
+        ["verify", "--m", "3", "--u", "2", "--matrix", "0,1;-1,-1", "100"],
+        # Z_2 wr (Z/60)^4: 12,960,000 positions, never to be built
+        ["oracle-classes", "--m", "2", "--matrix=-1,0,0,0;0,-1,0,0;0,0,-1,0;0,0,0,-1", "60"],
+    ],
+)
+def test_budget_checked_before_enumeration(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == EXIT_BUDGET
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    n = argv[-1]
+    assert f"^({n}^" in err and len(err) < 200
+
+
+def test_oracle_classes_rejects_nonpositive_n(capsys):
+    assert main(["oracle-classes", "--m", "3", "--u", "2", "--matrix", "-1", "0"]) == EXIT_INPUT
+
+
+def test_verify_rejects_negative_transport_checks(capsys):
+    code = main(
+        ["verify", "--m", "5", "--u", "2", "--matrix", "-1", "2", "--transport-checks", "-3"]
+    )
+    assert code == EXIT_INPUT
+
+
+def test_flags_belong_to_the_subcommands_that_read_them():
+    parser = build_parser()
+    inline = ["--m", "3", "--matrix", "-1"]
+    twisted = parser.parse_args(["twisted-eq", *inline, "f=[] t=(0)", "f=[] t=(1)"])
+    assert twisted.budget == DEFAULT_SEARCH_BUDGET
+    for command in ("verify", "oracle-classes"):
+        assert parser.parse_args([command, *inline, "2"]).budget == DEFAULT_ELEMENT_BUDGET
+    assert parser.parse_args(["verify", *inline, "2"]).seed == 0
+    for argv in (["classify", *inline, "--seed", "1"],
+                 ["orbits", *inline, "--budget", "5"],
+                 ["group-status", "3", "2", "--budget", "5"],
+                 ["twisted-eq", *inline, "f=[] t=(0)", "f=[] t=(1)", "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
+def test_cli_does_not_import_devices():
+    src = str(Path(lamptwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lamptwist.cli; print('lamptwist.devices' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

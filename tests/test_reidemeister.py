@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lamptwist.devices import cyclic_block_det, delta_chain_check
 from lamptwist.lattice import IntMatrix, det
 from lamptwist.reidemeister import (
     EPI_EVERYWHERE,
@@ -20,8 +21,6 @@ from lamptwist.reidemeister import (
     are_twisted_conjugate_sigma,
     class_representatives,
     classify_sigma,
-    cyclic_block_det,
-    delta_chain_check,
     r_infinity_status,
     reidemeister_abelian,
     reidemeister_number,

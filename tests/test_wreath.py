@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lamptwist.devices import lex_extreme_vertex, shifted_sum_support
 from lamptwist.lattice import IntMatrix
 from lamptwist.wreath import (
     FiniteSupportFunction,
@@ -11,9 +12,7 @@ from lamptwist.wreath import (
     element_from_json,
     element_to_json,
     format_element,
-    lex_extreme_vertex,
     parse_element,
-    shifted_sum_support,
     twisted_transform,
 )
 
