@@ -21,7 +21,6 @@ from .finite_oracle import (
     DEFAULT_ELEMENT_BUDGET,
     BudgetExceededError,
     FiniteAutomorphism,
-    check_budget,
     induce_automorphism,
     oracle_report,
     twisted_classes_bruteforce,
@@ -78,6 +77,11 @@ def spec_to_json(phi: WreathAutomorphism) -> dict:
     return out
 
 
+def _check_rank(k: int) -> None:
+    if k < 1 or k > MAX_CLI_RANK:
+        raise InputError(f"rank k must be in 1..{MAX_CLI_RANK}")
+
+
 def spec_from_json(obj: dict) -> WreathAutomorphism:
     if not isinstance(obj, dict):
         raise InputError("spec must be a JSON object")
@@ -91,9 +95,12 @@ def spec_from_json(obj: dict) -> WreathAutomorphism:
         x0 = obj.get("x0", [0] * k)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad spec field: {exc}") from exc
-    if k < 1 or k > MAX_CLI_RANK:
-        raise InputError(f"rank k must be in 1..{MAX_CLI_RANK}")
-    if len(matrix) != k or any(len(row) != k for row in matrix):
+    _check_rank(k)
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != k
+        or any(not isinstance(row, list) or len(row) != k for row in matrix)
+    ):
         raise InputError("matrix must be a k x k array of integers")
     try:
         a = IntMatrix(matrix)
@@ -101,6 +108,8 @@ def spec_from_json(obj: dict) -> WreathAutomorphism:
         if obj.get("inner"):
             inner = parse_element(obj["inner"], m)
         return WreathAutomorphism(a, m, u, tuple(int(c) for c in x0), inner)
+    except TypeError as exc:
+        raise InputError(f"bad spec field: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -117,15 +126,17 @@ def _load_spec(args: argparse.Namespace) -> WreathAutomorphism:
         return spec_from_json(obj)
     if args.matrix is None or args.m is None:
         raise InputError("give a spec file, or --m/--u/--matrix inline")
-    rows = [r for r in args.matrix.split(";") if r.strip()]
-    matrix = [[int(x) for x in row.split(",")] for row in rows]
-    k = len(matrix)
-    x0 = [int(x) for x in args.x0.split(",")] if args.x0 else [0] * k
+    try:
+        rows = [r for r in args.matrix.split(";") if r.strip()]
+        matrix = [[int(x) for x in row.split(",")] for row in rows]
+        x0 = [int(x) for x in args.x0.split(",")] if args.x0 else [0] * len(matrix)
+    except ValueError as exc:
+        raise InputError(f"inline matrix and offset take integers: {exc}") from exc
     return spec_from_json(
         {
             "version": SPEC_VERSION,
             "m": args.m,
-            "k": k,
+            "k": len(matrix),
             "matrix": matrix,
             "u": args.u,
             "x0": x0,
@@ -183,8 +194,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_group_status(args: argparse.Namespace) -> int:
-    if args.m < 2 or args.k < 1:
-        raise InputError("need m >= 2 and k >= 1")
+    if args.m < 2:
+        raise InputError("modulus m must be >= 2")
+    _check_rank(args.k)
     status = r_infinity_status(args.m, args.k)
     witness_spec = spec_to_json(status.example) if status.example else None
     if args.json:
@@ -240,11 +252,10 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _induced_quotient(phi: WreathAutomorphism, args: argparse.Namespace) -> FiniteAutomorphism:
-    """The automorphism phi induces on the quotient mod n, once its size is known to fit."""
+    """The automorphism phi induces on the quotient mod n, within the element budget."""
     if args.n < 1:
         raise InputError("quotient parameter n must be >= 1")
-    check_budget(phi.m, args.n, phi.k, args.budget)
-    return induce_automorphism(phi, args.n)
+    return induce_automorphism(phi, args.n, args.budget)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -253,7 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("--transport-checks must be >= 0")
     aut = _induced_quotient(phi, args)
     group = aut.group
-    report = oracle_report(group, aut, args.budget)
+    report = oracle_report(group, aut)
     verdict = reidemeister_number(phi)
     report["library"] = verdict.to_json()
 
@@ -276,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             t = tuple(rng.randrange(group.n) for _ in range(group.k))
             g_fin = (f, t)
             twisted = aut.twist(group.inverse(g_fin))
-            count_twisted, _ = twisted_classes_bruteforce(group, twisted, args.budget)
+            count_twisted, _ = twisted_classes_bruteforce(group, twisted)
             transports.append(count_twisted == report["twisted_classes"])
         report["transport_counts_equal"] = all(transports)
         match = match and all(transports)
@@ -301,7 +312,7 @@ def cmd_oracle_classes(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
     aut = _induced_quotient(phi, args)
     group = aut.group
-    count, reps = twisted_classes_bruteforce(group, aut, args.budget)
+    count, reps = twisted_classes_bruteforce(group, aut)
     if args.json:
         print(
             json.dumps(

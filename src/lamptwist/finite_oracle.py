@@ -29,35 +29,31 @@ class BudgetExceededError(RuntimeError):
     """The requested quotient is larger than the configured element budget."""
 
 
-def check_budget(m: int, n: int, k: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> None:
-    """Raise BudgetExceededError if Z_m wr (Z/n)^k has more than ``budget`` elements.
-
-    Decided from (m, n, k) alone, before anything is enumerated.  Once n^k
-    reaches the bit length of the budget, m^(n^k) >= 2^(n^k) already
-    exceeds it, so that power is only formed when it is small.
-    """
-    npk = n ** k
-    if npk >= budget.bit_length() or m ** npk * npk > budget:
-        raise BudgetExceededError(
-            f"group of order {m}^({n}^{k}) * {n}^{k} exceeds the element budget {budget}"
-        )
-
-
 class FiniteWreathGroup:
     """The quotient Z_m wr (Z/n)^k with canonical element encoding.
 
     Elements are pairs (f, t): f is a tuple of n^k residues mod m indexed
     by the lexicographically ordered positions of (Z/n)^k, and t is a
     translation tuple mod n.
+
+    The order m^(n^k) * n^k is checked against ``budget`` from (m, n, k)
+    alone, before anything is built.  Once n^k reaches the bit length of
+    the budget, m^(n^k) >= 2^(n^k) already exceeds it, so that power is
+    only formed when it is small.
     """
 
-    def __init__(self, m: int, n: int, k: int):
+    def __init__(self, m: int, n: int, k: int, budget: int = DEFAULT_ELEMENT_BUDGET):
         if m < 2 or n < 1 or k < 1:
             raise ValueError("need m >= 2, n >= 1, k >= 1")
+        npk = n ** k
+        if npk >= budget.bit_length() or m ** npk * npk > budget:
+            raise BudgetExceededError(
+                f"group of order {m}^({n}^{k}) * {n}^{k} exceeds the element budget {budget}"
+            )
         self.m, self.n, self.k = m, n, k
+        self.size = m ** npk * npk
         self.positions: tuple[Vector, ...] = tuple(product(range(n), repeat=k))
         self.pos_index = {p: i for i, p in enumerate(self.positions)}
-        self.size = m ** len(self.positions) * n ** k
         self._trans_perms: dict[Vector, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
@@ -169,9 +165,11 @@ class FiniteAutomorphism:
         return out
 
 
-def induce_automorphism(phi: WreathAutomorphism, n: int) -> FiniteAutomorphism:
+def induce_automorphism(
+    phi: WreathAutomorphism, n: int, budget: int = DEFAULT_ELEMENT_BUDGET
+) -> FiniteAutomorphism:
     """Automorphism of Z_m wr (Z/n)^k commuting with the projection."""
-    group = FiniteWreathGroup(phi.m, n, phi.k)
+    group = FiniteWreathGroup(phi.m, n, phi.k, budget)
     inner = group.project(phi.inner) if phi.inner is not None else None
     return FiniteAutomorphism(group, phi.matrix, phi.u, phi.x0, inner)
 
@@ -190,9 +188,7 @@ def _generators(group: FiniteWreathGroup) -> list[FiniteElement]:
 
 
 def twisted_classes_bruteforce(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
+    group: FiniteWreathGroup, aut: FiniteAutomorphism
 ) -> tuple[int, list[FiniteElement]]:
     """Exact twisted-class count and canonical representatives.
 
@@ -201,7 +197,6 @@ def twisted_classes_bruteforce(
     units); representatives are the least element of each class in the
     canonical tuple order.
     """
-    check_budget(group.m, group.n, group.k, budget)
     elems = list(group.elements())
     index = {e: i for i, e in enumerate(elems)}
     parent = list(range(len(elems)))
@@ -267,9 +262,7 @@ def _stabilizer_characters(group: FiniteWreathGroup, stab: list[Vector]) -> list
     return sorted(seen.values())
 
 
-def irreps_little_group(
-    group: FiniteWreathGroup, budget: int = DEFAULT_ELEMENT_BUDGET
-) -> tuple[IrrepLabel, ...]:
+def irreps_little_group(group: FiniteWreathGroup) -> tuple[IrrepLabel, ...]:
     """Complete list of irreducible representation labels.
 
     Base characters are m-residue tuples over the positions; the
@@ -277,7 +270,6 @@ def irreps_little_group(
     together with a character eta of its stabilizer induces one
     irreducible of dimension equal to the orbit size.
     """
-    check_budget(group.m, group.n, group.k, budget)
     m = group.m
     npk = len(group.positions)
     labels = []
@@ -315,24 +307,16 @@ def _transport_label(
     return IrrepLabel(canon_chi, canon_eta, len(orbit))
 
 
-def phi_hat_fixed_count(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> int:
+def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
     """Number of irreducible representation classes fixed by pullback."""
-    labels = irreps_little_group(group, budget)
+    labels = irreps_little_group(group)
     return sum(1 for label in labels if _transport_label(group, aut, label) == label)
 
 
-def oracle_report(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> dict:
+def oracle_report(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> dict:
     """JSON-ready summary of the full oracle pipeline on one quotient."""
-    count, reps = twisted_classes_bruteforce(group, aut, budget)
-    fixed = phi_hat_fixed_count(group, aut, budget)
+    count, reps = twisted_classes_bruteforce(group, aut)
+    fixed = phi_hat_fixed_count(group, aut)
     return {
         "group": {"m": group.m, "n": group.n, "k": group.k},
         "twisted_classes": count,

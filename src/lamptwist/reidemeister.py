@@ -21,6 +21,7 @@ from .lattice import (
     OrbitReport,
     Vector,
     _is_prime,
+    _prime_factors,
     coset_representatives,
     det,
     matrix_order,
@@ -28,6 +29,7 @@ from .lattice import (
     realized_periods,
     solve,
     torsion_order_bound,
+    unit_vector,
     vec_add,
     vec_neg,
     vec_sub,
@@ -39,11 +41,6 @@ from .wreath import (
     WreathElement,
     twisted_transform,
 )
-
-# classification of the base-subgroup factor
-EPI_EVERYWHERE = "epi-everywhere"
-INFINITE_ORBIT = "infinite-orbit"
-NON_EPI = "non-epi-orbit"
 
 # certificate rules
 RULE_DET_ZERO = "det-zero"
@@ -61,17 +58,22 @@ DEFAULT_ORBIT_WINDOW = 512
 
 
 def unit_order(u: int, m: int) -> int:
-    """Least d >= 1 with u^d = 1 mod m."""
+    """Least d >= 1 with u^d = 1 mod m.
+
+    The order divides Euler's totient of m: start there and divide out
+    each prime p for as long as u^(d/p) stays 1.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     u %= m
     if math.gcd(u, m) != 1:
         raise ValueError("u must be a unit mod m")
-    d = 1
-    cur = u
-    while cur != 1:
-        cur = (cur * u) % m
-        d += 1
+    d = m
+    for p in _prime_factors(m):
+        d = d // p * (p - 1)
+    for p in _prime_factors(d):
+        while d % p == 0 and pow(u, d // p, m) == 1:
+            d //= p
     return d
 
 
@@ -79,58 +81,6 @@ def reidemeister_abelian(a: IntMatrix) -> Optional[int]:
     """Class count of A acting on Z^k: |det(I - A)|, or None when that is 0."""
     d = det(IntMatrix.identity(a.k) - a)
     return abs(d) if d else None
-
-
-def _is_unit_gap(u: int, r: int, m: int) -> int:
-    """gcd(1 - u^r, m); 1 means 1 - u^r is invertible mod m."""
-    return math.gcd((1 - pow(u, r, m)) % m, m)
-
-
-@dataclass(frozen=True)
-class SigmaClassification:
-    """Outcome of the base-subgroup analysis.
-
-    ``epi-everywhere`` means every orbit block of 1 - phi' is onto, i.e. the
-    base contributes a single twisted class.  The other kinds certify
-    infinitely many classes: either a basis vector with unbounded orbit, or
-    a realized period pair (s, t) whose combined length r = lcm(s, t) makes
-    1 - u^r a non-unit mod m.  ``orbit_report`` is the orbit analysis of A
-    that the decision read.
-    """
-
-    kind: str
-    period_witness: Optional[tuple[int, int]] = None
-    orbit_length: Optional[int] = None
-    obstruction_vector: Optional[Vector] = None
-    orbit_report: Optional[OrbitReport] = field(default=None, compare=False, repr=False)
-
-
-def classify_sigma(phi: WreathAutomorphism) -> SigmaClassification:
-    """Decide whether 1 - phi' is onto the base subgroup.
-
-    Requires det(I - A) != 0; the caller handles the degenerate quotient
-    first.  Inner twists only shift the effective offset, so they are
-    normalized away before the orbit analysis.
-    """
-    a = phi.matrix
-    if det(IntMatrix.identity(a.k) - a) == 0:
-        raise ValueError("classify_sigma requires det(I - A) != 0")
-    report = realized_periods(a)
-    if report.order is None:
-        idx = next(i for i, per in enumerate(report.basis_periods) if per is None)
-        return SigmaClassification(
-            INFINITE_ORBIT,
-            obstruction_vector=tuple(1 if j == idx else 0 for j in range(a.k)),
-            orbit_report=report,
-        )
-    t = point_period(a, phi.effective_x0)
-    for s in sorted(report.periods):
-        r = math.lcm(s, t)
-        if _is_unit_gap(phi.u, r, phi.m) != 1:
-            return SigmaClassification(
-                NON_EPI, period_witness=(s, t), orbit_length=r, orbit_report=report
-            )
-    return SigmaClassification(EPI_EVERYWHERE, orbit_report=report)
 
 
 @dataclass(frozen=True)
@@ -166,49 +116,47 @@ class ReidemeisterVerdict:
         )
 
 
+def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
+    """Verdict of the stage d = det(I - A) != 0: is 1 - phi' onto the base?
+
+    If every orbit block of 1 - phi' is onto, the base contributes a single
+    twisted class and the classes are cylinders over the |d| translation
+    classes.  Otherwise the base has infinitely many classes, certified
+    either by a basis vector with unbounded orbit or by a realized period
+    pair (s, t) whose combined length r = lcm(s, t) makes 1 - u^r a
+    non-unit mod m.  Inner twists only shift the effective offset, so they
+    are normalized away before the orbit analysis.
+    """
+    if d == 0:
+        raise ValueError("classify_sigma requires det(I - A) != 0")
+    a = phi.matrix
+    report = realized_periods(a)
+    if report.order is None:
+        idx = report.basis_periods.index(None)
+        witness = {"basis_vector": list(unit_vector(a.k, idx))}
+        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness, report)
+    m, t = phi.m, point_period(a, phi.effective_x0)
+    for s in sorted(report.periods):
+        r = math.lcm(s, t)
+        gap = math.gcd((1 - pow(phi.u, r, m)) % m, m)  # 1 iff 1 - u^r is a unit mod m
+        if gap != 1:
+            witness = {"s": s, "t": t, "r": r, "unit_gap": gap}
+            return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness, report)
+    witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
+    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness, report)
+
+
 def reidemeister_number(phi: WreathAutomorphism) -> ReidemeisterVerdict:
     """Reidemeister number of phi with a certificate.
 
     Infinite when the translation quotient already has infinitely many
-    classes (det(I - A) = 0), or when the base analysis finds an
-    obstruction; otherwise the classes are cylinders over the quotient
-    classes and the value is |det(I - A)|.
+    classes (det(I - A) = 0); otherwise ``classify_sigma`` decides from the
+    base subgroup.
     """
-    a = phi.matrix
-    d = det(IntMatrix.identity(a.k) - a)
+    d = det(IntMatrix.identity(phi.k) - phi.matrix)
     if d == 0:
         return ReidemeisterVerdict(False, None, RULE_DET_ZERO, {"det_i_minus_a": 0})
-    cls = classify_sigma(phi)
-    if cls.kind == INFINITE_ORBIT:
-        return ReidemeisterVerdict(
-            False,
-            None,
-            RULE_INFINITE_ORBIT,
-            {"basis_vector": list(cls.obstruction_vector)},
-            cls.orbit_report,
-        )
-    if cls.kind == NON_EPI:
-        s, t = cls.period_witness
-        r = cls.orbit_length
-        return ReidemeisterVerdict(
-            False,
-            None,
-            RULE_NON_EPI,
-            {
-                "s": s,
-                "t": t,
-                "r": r,
-                "unit_gap": _is_unit_gap(phi.u, r, phi.m),
-            },
-            cls.orbit_report,
-        )
-    return ReidemeisterVerdict(
-        True,
-        abs(d),
-        RULE_CYLINDER,
-        {"det_i_minus_a": d, "unit_order": unit_order(phi.u, phi.m)},
-        cls.orbit_report,
-    )
+    return classify_sigma(phi, d)
 
 
 def class_representatives(phi: WreathAutomorphism) -> tuple[WreathElement, ...]:

@@ -110,6 +110,25 @@ def test_classify_bad_spec_file(tmp_path, capsys):
     assert main(["classify", str(bad)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "spec_or_argv",
+    [
+        dict(CASEP3_SPEC, matrix=5),
+        dict(CASEP3_SPEC, x0=5),
+        dict(CASEP3_SPEC, matrix=[[0, 1], [-1, None]]),
+        ["--m", "3", "--matrix", "1,a"],
+        ["--m", "3", "--matrix", "1", "--x0", "1,a"],
+    ],
+)
+def test_classify_malformed_input_is_an_input_error(tmp_path, capsys, spec_or_argv):
+    if isinstance(spec_or_argv, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_or_argv))
+        spec_or_argv = [str(path)]
+    assert main(["classify", *spec_or_argv]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_group_status(capsys):
     assert main(["group-status", "3", "3"]) == EXIT_OK
     assert "has-r-infinity" in capsys.readouterr().out
@@ -122,6 +141,9 @@ def test_group_status(capsys):
 
     assert main(["group-status", "9", "2"]) == EXIT_OK
     assert "unknown" in capsys.readouterr().out
+
+    assert main(["group-status", "3", "17"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: rank k must be in 1..16\n"
 
 
 def test_twisted_eq(casep3_file, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -127,10 +128,25 @@ def test_abelian_quotient_n1():
 
 
 def test_budget_guard():
-    group = FiniteWreathGroup(3, 3, 2)
-    aut = induce_automorphism(WreathAutomorphism.identity(3, 2), 3)
     with pytest.raises(BudgetExceededError):
-        twisted_classes_bruteforce(group, aut, budget=1000)
+        FiniteWreathGroup(3, 3, 2, budget=1000)
+    with pytest.raises(BudgetExceededError):
+        induce_automorphism(WreathAutomorphism.identity(3, 2), 3, budget=1000)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # Z_2 wr (Z/60)^4: 12,960,000 positions, never to be built
+        lambda: FiniteWreathGroup(2, 60, 4),
+        lambda: induce_automorphism(WreathAutomorphism(-IntMatrix.identity(4), 2, 1, (0,) * 4), 60),
+    ],
+)
+def test_budget_checked_when_the_quotient_is_built(build):
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        build()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_finite_count_matches_verdict():

@@ -1,19 +1,22 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, eye
 
+from lamptwist import reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
-from lamptwist.lattice import IntMatrix, det
+from lamptwist.lattice import IntMatrix, det, torsion_order_bound
 from lamptwist.reidemeister import (
-    EPI_EVERYWHERE,
     HAS_R_INFINITY,
-    INFINITE_ORBIT,
-    NON_EPI,
     NOT_R_INFINITY,
     ORDER_THREE_BLOCK,
     RULE_CYLINDER,
     RULE_DET_ZERO,
+    RULE_INFINITE_ORBIT,
     RULE_NON_EPI,
     STATUS_UNKNOWN,
     ReidemeisterVerdict,
@@ -33,7 +36,12 @@ from lamptwist.wreath import (
     twisted_transform,
 )
 
-from helpers import random_element, random_function, random_unimodular
+from helpers import (
+    random_element,
+    random_finite_order_unimodular,
+    random_function,
+    random_unimodular,
+)
 
 M3 = ORDER_THREE_BLOCK
 I2 = IntMatrix.identity(2)
@@ -41,6 +49,10 @@ I2 = IntMatrix.identity(2)
 
 def units(m):
     return [u for u in range(1, m) if math.gcd(u, m) == 1]
+
+
+def sigma_verdict(phi):
+    return classify_sigma(phi, det(IntMatrix.identity(phi.k) - phi.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +65,24 @@ def test_unit_order_examples():
     assert unit_order(2, 3) == 2
     with pytest.raises(ValueError):
         unit_order(2, 4)
+    with pytest.raises(ValueError):
+        unit_order(1, 1)
+
+
+def test_unit_order_matches_the_power_walk():
+    for m in range(2, 200):
+        for u in units(m):
+            d, power = 1, u
+            while power != 1:
+                power = power * u % m
+                d += 1
+            assert unit_order(u, m) == d
+
+
+def test_unit_order_large_prime_modulus():
+    started = time.perf_counter()
+    assert unit_order(5, 1_000_000_007) == 1_000_000_006  # 5 is a primitive root
+    assert time.perf_counter() - started < 1.0
 
 
 def test_reidemeister_abelian_examples():
@@ -98,40 +128,40 @@ def test_classify_m2_always_obstructed():
             if det(IntMatrix.identity(k) - a) == 0:
                 continue
             phi = WreathAutomorphism(a, 2, 1, (0,) * k)
-            assert classify_sigma(phi).kind in (NON_EPI, INFINITE_ORBIT)
+            assert sigma_verdict(phi).rule in (RULE_NON_EPI, RULE_INFINITE_ORBIT)
 
 
 def test_classify_examples():
     phi = WreathAutomorphism(-I2, 5, 2, (0, 0))
-    assert classify_sigma(phi).kind == EPI_EVERYWHERE
+    assert sigma_verdict(phi).rule == RULE_CYLINDER
 
     rng = random.Random(5)
     for _ in range(5):
         x0 = tuple(rng.randrange(-3, 4) for _ in range(2))
         phi = WreathAutomorphism(M3, 3, 2, x0)
-        assert classify_sigma(phi).kind == EPI_EVERYWHERE
+        assert sigma_verdict(phi).rule == RULE_CYLINDER
 
 
 def test_classify_requires_nonzero_det():
     with pytest.raises(ValueError):
-        classify_sigma(WreathAutomorphism.identity(3, 2))
+        classify_sigma(WreathAutomorphism.identity(3, 2), 0)
 
 
 def test_classify_infinite_orbit():
     a = IntMatrix([[2, 1], [1, 1]])
     phi = WreathAutomorphism(a, 5, 2, (0, 0))
-    cls = classify_sigma(phi)
-    assert cls.kind == INFINITE_ORBIT
-    assert cls.obstruction_vector in ((1, 0), (0, 1))
+    verdict = sigma_verdict(phi)
+    assert verdict.rule == RULE_INFINITE_ORBIT
+    assert verdict.witness["basis_vector"] in ([1, 0], [0, 1])
 
 
 def test_classify_non_epi_witness_periods():
     phi = WreathAutomorphism(-I2, 3, 2, (0, 0))  # 1 - 2^2 = -3 = 0 mod 3
-    cls = classify_sigma(phi)
-    assert cls.kind == NON_EPI
-    s, t = cls.period_witness
-    assert cls.orbit_length == math.lcm(s, t)
-    assert math.gcd((1 - 2 ** cls.orbit_length) % 3, 3) != 1
+    verdict = sigma_verdict(phi)
+    assert verdict.rule == RULE_NON_EPI
+    witness = verdict.witness
+    assert witness["r"] == math.lcm(witness["s"], witness["t"])
+    assert math.gcd((1 - 2 ** witness["r"]) % 3, 3) != 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +193,80 @@ def test_verdict_consistency():
         verdict = reidemeister_number(phi)
         if verdict.finite:
             assert verdict.value == reidemeister_abelian(a)
-            assert classify_sigma(phi).kind == EPI_EVERYWHERE
+            assert sigma_verdict(phi).rule == RULE_CYLINDER
             assert verdict.rule == RULE_CYLINDER
+
+
+@pytest.mark.parametrize(
+    "phi, rule",
+    [
+        (WreathAutomorphism.identity(3, 2), RULE_DET_ZERO),
+        (WreathAutomorphism(IntMatrix([[2, 1], [1, 1]]), 5, 2, (0, 0)), RULE_INFINITE_ORBIT),
+        (WreathAutomorphism(-I2, 3, 2, (0, 0)), RULE_NON_EPI),
+        (WreathAutomorphism(M3, 3, 2, (0, 0)), RULE_CYLINDER),
+    ],
+)
+def test_reidemeister_number_computes_det_once(monkeypatch, phi, rule):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr(reidemeister, "det", counting)
+    assert reidemeister_number(phi).rule == rule
+    assert len(calls) == 1
+
+
+@st.composite
+def small_automorphisms(draw):
+    """k <= 3, m in {2, 3, 5, 7, 9}, any unit, small offset and inner translation."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 3, 5, 7, 9]))
+    make = draw(st.sampled_from([random_unimodular, random_finite_order_unimodular]))
+    a = make(draw(st.randoms(use_true_random=False)), k)
+    small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    phi = WreathAutomorphism(a, m, draw(st.sampled_from(units(m))), tuple(draw(small)))
+    inner_t = draw(st.none() | small)
+    return phi if inner_t is None else phi.twist(WreathElement.translation(m, tuple(inner_t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_automorphisms())
+def test_certificates_recheck_without_the_engine(phi):
+    """Each certificate field re-derived with sympy and plain arithmetic."""
+    verdict = reidemeister_number(phi)
+    witness = verdict.witness
+    m, u, k = phi.m, phi.u, phi.k
+    a = Matrix(phi.matrix.to_lists())
+    d = (eye(k) - a).det()
+    assert verdict.finite == (verdict.rule == RULE_CYLINDER)
+    if verdict.rule == RULE_DET_ZERO:
+        assert d == 0 and witness == {"det_i_minus_a": 0}
+        return
+    assert d != 0
+    if verdict.rule == RULE_INFINITE_ORBIT:
+        e = Matrix(witness["basis_vector"])
+        assert sorted(witness["basis_vector"]) == [0] * (k - 1) + [1]
+        v = e
+        for _ in range(torsion_order_bound(k)):
+            v = a * v
+            assert v != e
+    elif verdict.rule == RULE_NON_EPI:
+        s, t, r = witness["s"], witness["t"], witness["r"]
+        assert r == math.lcm(s, t)
+        # the origin has period 1; any other realized period needs a fixed vector of A^s
+        assert s == 1 or (a ** s - eye(k)).nullspace()
+        x0_eff = Matrix(phi.x0) + (Matrix(phi.inner.t) if phi.inner else Matrix.zeros(k, 1))
+        assert a ** t * x0_eff == x0_eff
+        assert witness["unit_gap"] == math.gcd((1 - u ** r) % m, m) != 1
+    else:
+        assert verdict.rule == RULE_CYLINDER
+        assert verdict.value == abs(d) == abs(witness["det_i_minus_a"])
+        assert witness["det_i_minus_a"] == d
+        order = witness["unit_order"]
+        assert pow(u, order, m) == 1
+        assert all(pow(u, e, m) != 1 for e in range(1, order))
 
 
 def test_verdict_inner_twist_invariance():
