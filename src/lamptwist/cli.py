@@ -82,18 +82,25 @@ def _check_rank(k: int) -> None:
         raise InputError(f"rank k must be in 1..{MAX_CLI_RANK}")
 
 
+def _integer(value, field: str) -> int:
+    # JSON true/false load as bool, a subclass of int; 3.9 must not become 3
+    if type(value) is not int:
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_json(obj: dict) -> WreathAutomorphism:
     if not isinstance(obj, dict):
         raise InputError("spec must be a JSON object")
     if obj.get("version") != SPEC_VERSION:
         raise InputError(f"unsupported spec version: {obj.get('version')!r}")
     try:
-        m = int(obj["m"])
-        k = int(obj["k"])
+        m = _integer(obj["m"], "m")
+        k = _integer(obj["k"], "k")
         matrix = obj["matrix"]
-        u = int(obj["u"])
+        u = _integer(obj["u"], "u")
         x0 = obj.get("x0", [0] * k)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"bad spec field: {exc}") from exc
     _check_rank(k)
     if (
@@ -102,12 +109,19 @@ def spec_from_json(obj: dict) -> WreathAutomorphism:
         or any(not isinstance(row, list) or len(row) != k for row in matrix)
     ):
         raise InputError("matrix must be a k x k array of integers")
+    for row in matrix:
+        for entry in row:
+            _integer(entry, "matrix entry")
+    if not isinstance(x0, list):
+        raise InputError("x0 must be an array of integers")
+    for c in x0:
+        _integer(c, "x0 entry")
     try:
         a = IntMatrix(matrix)
         inner = None
         if obj.get("inner"):
             inner = parse_element(obj["inner"], m)
-        return WreathAutomorphism(a, m, u, tuple(int(c) for c in x0), inner)
+        return WreathAutomorphism(a, m, u, tuple(x0), inner)
     except TypeError as exc:
         raise InputError(f"bad spec field: {exc}") from exc
     except ValueError as exc:
@@ -267,8 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = oracle_report(group, aut)
     verdict = reidemeister_number(phi)
     report["library"] = verdict.to_json()
+    # each comparison is either made, with a boolean "result", or "skipped"
+    # with the reason
+    comparisons: dict[str, dict] = {"tbft": {"result": report["tbft"]}}
 
-    match = report["tbft"]
     if verdict.finite:
         # the quotient count reproduces R(phi) exactly when n is a multiple
         # of the exponent of Z^k / (I - A) Z^k
@@ -276,11 +292,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         exponent = max(smith_normal_form(ident - phi.matrix).diagonal)
         report["quotient_exponent"] = exponent
         if args.n % exponent == 0:
-            match = match and report["twisted_classes"] == verdict.value
-    report["match"] = match
+            comparisons["count_vs_R"] = {"result": report["twisted_classes"] == verdict.value}
+        else:
+            reason = f"n={args.n} is not a multiple of the exponent {exponent}"
+            comparisons["count_vs_R"] = {"skipped": reason}
+    else:
+        comparisons["count_vs_R"] = {"skipped": "the library verdict is infinite"}
 
-    transports = []
     if args.transport_checks:
+        transports = []
         rng = random.Random(args.seed)
         for _ in range(args.transport_checks):
             f = tuple(rng.randrange(group.m) for _ in group.positions)
@@ -290,8 +310,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             count_twisted, _ = twisted_classes_bruteforce(group, twisted)
             transports.append(count_twisted == report["twisted_classes"])
         report["transport_counts_equal"] = all(transports)
-        match = match and all(transports)
-        report["match"] = match
+        comparisons["transport"] = {
+            "result": all(transports),
+            "equal": f"{sum(transports)}/{len(transports)}",
+        }
+    else:
+        comparisons["transport"] = {"skipped": "no transport checks were requested"}
+
+    match = all(c["result"] for c in comparisons.values() if "result" in c)
+    report["comparisons"] = comparisons
+    report["match"] = match
 
     if args.json:
         print(json.dumps(report, indent=2))
@@ -299,11 +327,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"group: Z_{group.m} wr (Z/{group.n})^{group.k}  (order {group.size})")
         print(f"twisted classes: {report['twisted_classes']}")
         print(f"fixed irreps:    {report['fixed_irreps']}")
-        print(f"tbft: {report['tbft']}")
         lib = "finite R = " + str(verdict.value) if verdict.finite else "infinite"
         print(f"library verdict: {lib} ({verdict.rule})")
-        if transports:
-            print(f"transport checks: {sum(transports)}/{len(transports)} equal")
+        print("comparisons:")
+        for name, c in comparisons.items():
+            if "skipped" in c:
+                print(f"  {name}: skipped ({c['skipped']})")
+            else:
+                print(f"  {name}: {c['result']}" + (f" ({c['equal']} equal)" if "equal" in c else ""))
         print(f"match: {match}")
     return EXIT_OK if match else EXIT_MISMATCH
 

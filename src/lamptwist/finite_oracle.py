@@ -14,8 +14,9 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .lattice import IntMatrix, Vector, as_vector
 from .wreath import WreathAutomorphism, WreathElement
@@ -29,12 +30,40 @@ class BudgetExceededError(RuntimeError):
     """The requested quotient is larger than the configured element budget."""
 
 
+def _digit_table(
+    m: int,
+    dest: Sequence[int],
+    shift: Optional[Sequence[int]] = None,
+    unit: int = 1,
+    scale: int = 1,
+    offset: int = 0,
+) -> list[int]:
+    """Code table of a digit-wise affine map of base vectors.
+
+    Entry fi is ``scale * code(g) + offset``, where f is the base vector
+    with code fi and g[dest[j]] = unit * f[j] + shift[dest[j]] mod m.  The
+    table is built one digit at a time, with no digit arithmetic per entry.
+    """
+    npk = len(dest)
+    table = [offset]
+    for j in reversed(range(npk)):
+        i = dest[j]
+        c = shift[i] if shift else 0
+        weight = scale * m ** (npk - 1 - i)
+        values = [(unit * d + c) % m * weight for d in range(m)]
+        table = [v + x for v in values for x in table]
+    return table
+
+
 class FiniteWreathGroup:
     """The quotient Z_m wr (Z/n)^k with canonical element encoding.
 
     Elements are pairs (f, t): f is a tuple of n^k residues mod m indexed
     by the lexicographically ordered positions of (Z/n)^k, and t is a
-    translation tuple mod n.
+    translation tuple mod n.  The oracle's loops work on integer codes
+    fi * n^k + ti instead, where fi reads f as base-m digits (position 0
+    most significant) and ti is the index of t among the positions, so
+    code order is the order of ``elements()``.
 
     The order m^(n^k) * n^k is checked against ``budget`` from (m, n, k)
     alone, before anything is built.  Once n^k reaches the bit length of
@@ -98,6 +127,57 @@ class FiniteWreathGroup:
         for f in product(range(self.m), repeat=len(self.positions)):
             for t in product(range(self.n), repeat=self.k):
                 yield f, t
+
+    def decode(self, index: int) -> FiniteElement:
+        """The element with integer code ``index``, in 0..size-1."""
+        fi, ti = divmod(index, len(self.positions))
+        return self._f_digits(fi), self.positions[ti]
+
+    def _f_digits(self, fi: int) -> tuple[int, ...]:
+        digits = [0] * len(self.positions)
+        for i in reversed(range(len(digits))):
+            fi, digits[i] = divmod(fi, self.m)
+        return tuple(digits)
+
+    def _f_code(self, f: tuple[int, ...]) -> int:
+        fi = 0
+        for d in f:
+            fi = fi * self.m + d
+        return fi
+
+    @cached_property
+    def _character_orbits(self) -> tuple[list[int], dict[int, tuple[Vector, ...]]]:
+        """Translation orbits of the base characters, over their codes.
+
+        Returns ``(least, stabilizers)``: ``least[ci]`` is the least code
+        in the orbit of ci, and ``stabilizers`` maps each least code, in
+        increasing order, to its stabilizer in (Z/n)^k in position order.
+        Orbits are walked with one translation table per unit vector.
+        """
+        n, k, positions = self.n, self.k, self.positions
+        steps = [
+            _digit_table(self.m, self._perm(tuple(-int(i == j) % n for j in range(k))))
+            for i in range(k)
+        ]
+        least = [-1] * self.m ** len(positions)
+        stabilizers: dict[int, tuple[Vector, ...]] = {}
+        shared: dict[tuple[Vector, ...], tuple[Vector, ...]] = {}
+        for ci in range(len(least)):
+            if least[ci] >= 0:
+                continue
+            images = [ci]  # images[p] = code of chi translated by positions[p]
+            for step in steps:
+                row = []
+                for y in images:
+                    for _ in range(n):
+                        row.append(y)
+                        y = step[y]
+                images = row
+            for y in images:
+                least[y] = ci
+            stab = tuple(p for p, y in zip(positions, images) if y == ci)
+            stabilizers[ci] = shared.setdefault(stab, stab)
+        return least, stabilizers
 
     def project(self, g: WreathElement) -> FiniteElement:
         """Reduce an infinite-group element mod n; a group homomorphism."""
@@ -196,31 +276,35 @@ def twisted_classes_bruteforce(
     generating set (base generator at position 0 plus the translation
     units); representatives are the least element of each class in the
     canonical tuple order.
+
+    Elements are handled by their integer codes (``FiniteWreathGroup.decode``).
+    With gamma = (a, s) and aut(gamma)^-1 = (b, v), the move sends (f, t)
+    to (tr_s(f) + c_t, t + s + v) with c_t = a + tr_{s+t}(b), so for each
+    generator and each t it is one lookup table over the base codes.
+    Union keeps the smaller root, so every root is its class minimum.
     """
-    elems = list(group.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    multiply = group.multiply
-    steps = [(gen, group.inverse(aut.apply(gen))) for gen in _generators(group)]
-    for i, x in enumerate(elems):
-        for gen, tail in steps:
-            y = multiply(multiply(gen, x), tail)
-            ri, rj = find(i), find(index[y])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    reps: dict[int, FiniteElement] = {}
-    for i, x in enumerate(elems):
-        root = find(i)
-        if root not in reps:
-            reps[root] = x  # elems are enumerated in canonical order
-    return len(reps), [reps[r] for r in sorted(reps)]
+    n, npk, size = group.n, len(group.positions), group.size
+    parent = list(range(size))
+    for gen in _generators(group):
+        a, s = gen
+        b, v = group.inverse(aut.apply(gen))
+        dest = group._perm(tuple(-c % n for c in s))  # tr_s moves position j to dest[j]
+        for ti, t in enumerate(group.positions):
+            st = tuple((x + y) % n for x, y in zip(s, t))
+            shift = [x + y for x, y in zip(a, group.translate_f(b, st))]
+            target = group.pos_index[tuple((x + y) % n for x, y in zip(st, v))]
+            table = _digit_table(group.m, dest, shift, scale=npk, offset=target)
+            for x, y in zip(range(ti, size, npk), table):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+    roots = [i for i, p in enumerate(parent) if i == p]
+    return len(roots), [group.decode(r) for r in roots]
 
 
 @dataclass(frozen=True)
@@ -238,24 +322,12 @@ class IrrepLabel:
     dim: int
 
 
-def _stabilizer(group: FiniteWreathGroup, chi: tuple[int, ...]) -> list[Vector]:
-    return [b for b in group.positions if group.translate_f(chi, b) == chi]
-
-
-def _eta_key(group: FiniteWreathGroup, stab: list[Vector], y: Vector) -> tuple[int, ...]:
+def _eta_key(group: FiniteWreathGroup, stab: tuple[Vector, ...], y: Vector) -> tuple[int, ...]:
     n = group.n
     return tuple(sum(a * b for a, b in zip(y, s)) % n for s in stab)
 
 
-def _canonical_eta(group: FiniteWreathGroup, stab: list[Vector], y: Vector) -> Vector:
-    target = _eta_key(group, stab, y)
-    for cand in group.positions:
-        if _eta_key(group, stab, cand) == target:
-            return cand
-    raise AssertionError("unreachable: y itself matches its key")
-
-
-def _stabilizer_characters(group: FiniteWreathGroup, stab: list[Vector]) -> list[Vector]:
+def _stabilizer_characters(group: FiniteWreathGroup, stab: tuple[Vector, ...]) -> list[Vector]:
     seen: dict[tuple[int, ...], Vector] = {}
     for y in group.positions:
         seen.setdefault(_eta_key(group, stab, y), y)
@@ -270,47 +342,49 @@ def irreps_little_group(group: FiniteWreathGroup) -> tuple[IrrepLabel, ...]:
     together with a character eta of its stabilizer induces one
     irreducible of dimension equal to the orbit size.
     """
-    m = group.m
     npk = len(group.positions)
+    _, stabilizers = group._character_orbits
+    characters: dict[tuple[Vector, ...], list[Vector]] = {}
     labels = []
-    for chi in product(range(m), repeat=npk):
-        orbit = {group.translate_f(chi, b) for b in group.positions}
-        if min(orbit) != chi:
-            continue
-        stab = _stabilizer(group, chi)
-        dim = len(orbit)
-        for eta in _stabilizer_characters(group, stab):
+    for ci, stab in stabilizers.items():
+        etas = characters.get(stab)
+        if etas is None:
+            etas = characters[stab] = _stabilizer_characters(group, stab)
+        chi = group._f_digits(ci)
+        dim = npk // len(stab)
+        for eta in etas:
             labels.append(IrrepLabel(chi, eta, dim))
     return tuple(labels)
 
 
-def _transport_label(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, label: IrrepLabel
-) -> IrrepLabel:
-    """Label of the representation pulled back along the automorphism.
-
-    Composing a base character chi with the standard part gives
-    (chi o phi')_x = u * chi(sigma(x)); the eta part pulls back through the
-    quotient matrix, then both are canonicalized.  Inner parts are ignored
-    because conjugate representations are equivalent.
-    """
-    m, n = group.m, group.n
-    chi = label.chi
-    new_chi = tuple((aut.u * chi[aut.sigma[i]]) % m for i in range(len(chi)))
-    orbit = {group.translate_f(new_chi, b) for b in group.positions}
-    canon_chi = min(orbit)
-    stab = _stabilizer(group, canon_chi)
-    pulled = tuple(
-        c % n for c in aut.matrix.transpose().apply(label.eta)
-    )
-    canon_eta = _canonical_eta(group, stab, pulled)
-    return IrrepLabel(canon_chi, canon_eta, len(orbit))
-
-
 def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
-    """Number of irreducible representation classes fixed by pullback."""
+    """Number of irreducible representation classes fixed by pullback.
+
+    The pullback of (chi, eta) has base character (chi o phi')_x =
+    u * chi(sigma(x)), canonicalized to its orbit minimum, and stabilizer
+    character eta pulled back through the transposed quotient matrix.
+    Inner parts are ignored because conjugate representations are
+    equivalent.  A label is fixed when the base orbit is the same and the
+    two etas agree on the stabilizer.
+    """
     labels = irreps_little_group(group)
-    return sum(1 for label in labels if _transport_label(group, aut, label) == label)
+    least, stabilizers = group._character_orbits
+    dest = [0] * len(aut.sigma)
+    for i, j in enumerate(aut.sigma):
+        dest[j] = i
+    pulled_chi = _digit_table(group.m, dest, unit=aut.u)
+    transpose = aut.matrix.transpose()
+    n = group.n
+    fixed = 0
+    for label in labels:
+        ci = group._f_code(label.chi)
+        if least[pulled_chi[ci]] != ci:
+            continue
+        stab = stabilizers[ci]
+        pulled_eta = tuple(c % n for c in transpose.apply(label.eta))
+        if _eta_key(group, stab, pulled_eta) == _eta_key(group, stab, label.eta):
+            fixed += 1
+    return fixed
 
 
 def oracle_report(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> dict:

@@ -11,9 +11,10 @@ admissibility bound for torsion in GL_k(Z) instead of eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Optional
 
 Vector = tuple[int, ...]
@@ -329,34 +330,107 @@ def kernel_rank(m: IntMatrix) -> int:
 # torsion orders and orbit periods
 
 
+# Miller-Rabin with these bases decides primality exactly below the bound
+# (Sorenson and Webster, 2017); above it a "probably prime" is confirmed by
+# trial division, so every answer stays exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below 3.317 * 10^24.
+
+    Above that bound a number that passes every base is confirmed by trial
+    division up to its square root, which is exact but slow.
+    """
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
-    return True
+    if n < _MR_EXACT_BELOW:
+        return True
+    return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+
+
+def _split(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho, Brent's variant."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:  # the batched product overshot: retrace one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factorization(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Small primes are divided out first; what is left is split by Pollard's
+    rho until every factor passes the exact ``_is_prime``.
+    """
+    out: dict[int, int] = {}
+    for f in range(2, 1000):
+        if f * f > n:
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+    stack = [n] if n > 1 else []
+    while stack:
+        x = stack.pop()
+        if _is_prime(x):
+            out[x] = out.get(x, 0) + 1
+        else:
+            d = _split(x)
+            stack += [d, x // d]
+    return out
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    """The distinct primes dividing n, in increasing order."""
+    return tuple(sorted(_factorization(n)))
 
 
 def _divisors(n: int) -> tuple[int, ...]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return tuple(out)
+    """All positive divisors of n >= 1, in increasing order."""
+    divisors = [1]
+    for p, e in _factorization(n).items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    return tuple(sorted(divisors))
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,23 @@
-"""Shared generators for the randomized suites.
+"""Shared generators for the randomized suites, and the tuple-level oracle.
 
 Everything takes an explicit random.Random so tests stay reproducible;
 seeds are fixed in the test modules.
+
+The last section is the finite oracle as it was before its loops moved to
+integer codes: it works on (f, t) tuples through ``FiniteWreathGroup.multiply``
+and ``translate_f``, and serves as the referee of the integer-coded one.
 """
 
 from itertools import permutations, product
 
-from lamptwist.lattice import IntMatrix
+from lamptwist.finite_oracle import (
+    FiniteAutomorphism,
+    FiniteElement,
+    FiniteWreathGroup,
+    IrrepLabel,
+    _generators,
+)
+from lamptwist.lattice import IntMatrix, Vector
 from lamptwist.wreath import FiniteSupportFunction, WreathElement
 
 
@@ -74,3 +85,118 @@ def random_function(rng, m, k, max_support=3, box=3):
 def random_element(rng, m, k, max_support=3, box=3):
     t = tuple(rng.randrange(-box, box + 1) for _ in range(k))
     return WreathElement(random_function(rng, m, k, max_support, box), t)
+
+
+# ---------------------------------------------------------------------------
+# tuple-level referee oracle
+
+
+def twisted_classes_bruteforce(
+    group: FiniteWreathGroup, aut: FiniteAutomorphism
+) -> tuple[int, list[FiniteElement]]:
+    """Exact twisted-class count and canonical representatives.
+
+    Union-find closes the moves g -> gamma * g * aut(gamma)^-1 over the
+    generating set (base generator at position 0 plus the translation
+    units); representatives are the least element of each class in the
+    canonical tuple order.
+    """
+    elems = list(group.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    parent = list(range(len(elems)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    multiply = group.multiply
+    steps = [(gen, group.inverse(aut.apply(gen))) for gen in _generators(group)]
+    for i, x in enumerate(elems):
+        for gen, tail in steps:
+            y = multiply(multiply(gen, x), tail)
+            ri, rj = find(i), find(index[y])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    reps: dict[int, FiniteElement] = {}
+    for i, x in enumerate(elems):
+        root = find(i)
+        if root not in reps:
+            reps[root] = x  # elems are enumerated in canonical order
+    return len(reps), [reps[r] for r in sorted(reps)]
+
+
+def _stabilizer(group: FiniteWreathGroup, chi: tuple[int, ...]) -> list[Vector]:
+    return [b for b in group.positions if group.translate_f(chi, b) == chi]
+
+
+def _eta_key(group: FiniteWreathGroup, stab: list[Vector], y: Vector) -> tuple[int, ...]:
+    n = group.n
+    return tuple(sum(a * b for a, b in zip(y, s)) % n for s in stab)
+
+
+def _canonical_eta(group: FiniteWreathGroup, stab: list[Vector], y: Vector) -> Vector:
+    target = _eta_key(group, stab, y)
+    for cand in group.positions:
+        if _eta_key(group, stab, cand) == target:
+            return cand
+    raise AssertionError("unreachable: y itself matches its key")
+
+
+def _stabilizer_characters(group: FiniteWreathGroup, stab: list[Vector]) -> list[Vector]:
+    seen: dict[tuple[int, ...], Vector] = {}
+    for y in group.positions:
+        seen.setdefault(_eta_key(group, stab, y), y)
+    return sorted(seen.values())
+
+
+def irreps_little_group(group: FiniteWreathGroup) -> tuple[IrrepLabel, ...]:
+    """Complete list of irreducible representation labels.
+
+    Base characters are m-residue tuples over the positions; the
+    translation group permutes them, and each orbit representative chi
+    together with a character eta of its stabilizer induces one
+    irreducible of dimension equal to the orbit size.
+    """
+    m = group.m
+    npk = len(group.positions)
+    labels = []
+    for chi in product(range(m), repeat=npk):
+        orbit = {group.translate_f(chi, b) for b in group.positions}
+        if min(orbit) != chi:
+            continue
+        stab = _stabilizer(group, chi)
+        dim = len(orbit)
+        for eta in _stabilizer_characters(group, stab):
+            labels.append(IrrepLabel(chi, eta, dim))
+    return tuple(labels)
+
+
+def _transport_label(
+    group: FiniteWreathGroup, aut: FiniteAutomorphism, label: IrrepLabel
+) -> IrrepLabel:
+    """Label of the representation pulled back along the automorphism.
+
+    Composing a base character chi with the standard part gives
+    (chi o phi')_x = u * chi(sigma(x)); the eta part pulls back through the
+    quotient matrix, then both are canonicalized.  Inner parts are ignored
+    because conjugate representations are equivalent.
+    """
+    m, n = group.m, group.n
+    chi = label.chi
+    new_chi = tuple((aut.u * chi[aut.sigma[i]]) % m for i in range(len(chi)))
+    orbit = {group.translate_f(new_chi, b) for b in group.positions}
+    canon_chi = min(orbit)
+    stab = _stabilizer(group, canon_chi)
+    pulled = tuple(
+        c % n for c in aut.matrix.transpose().apply(label.eta)
+    )
+    canon_eta = _canonical_eta(group, stab, pulled)
+    return IrrepLabel(canon_chi, canon_eta, len(orbit))
+
+
+def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
+    """Number of irreducible representation classes fixed by pullback."""
+    labels = irreps_little_group(group)
+    return sum(1 for label in labels if _transport_label(group, aut, label) == label)

@@ -12,6 +12,7 @@ from lamptwist import cli, reidemeister
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_MISMATCH,
     EXIT_OK,
     build_parser,
     main,
@@ -118,6 +119,17 @@ def test_classify_bad_spec_file(tmp_path, capsys):
         dict(CASEP3_SPEC, matrix=[[0, 1], [-1, None]]),
         ["--m", "3", "--matrix", "1,a"],
         ["--m", "3", "--matrix", "1", "--x0", "1,a"],
+        # spec numbers must be JSON integers: no truncation, no bool, no string
+        {"version": 1, "m": 3.9, "k": 1, "matrix": [[-1.5]], "u": 2.7, "x0": [0.5]},
+        dict(CASEP3_SPEC, m=3.9),
+        dict(CASEP3_SPEC, m="3"),
+        dict(CASEP3_SPEC, k=2.0),
+        dict(CASEP3_SPEC, u=2.7),
+        dict(CASEP3_SPEC, u=True),
+        dict(CASEP3_SPEC, matrix=[[0, 1], [-1, -1.5]]),
+        dict(CASEP3_SPEC, matrix=[[0, True], [-1, -1]]),
+        dict(CASEP3_SPEC, x0=[0, 0.5]),
+        dict(CASEP3_SPEC, x0="00"),
     ],
 )
 def test_classify_malformed_input_is_an_input_error(tmp_path, capsys, spec_or_argv):
@@ -144,6 +156,22 @@ def test_group_status(capsys):
 
     assert main(["group-status", "3", "17"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: rank k must be in 1..16\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # m = 999999937 * 1000000007: trial division would take minutes
+        ["classify", "--m", "999999943999999559", "--u", "2", "--matrix", "-1"],
+        ["group-status", "999999943999999559", "2"],
+    ],
+)
+def test_large_composite_modulus_is_fast(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == EXIT_OK
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out
+    assert ("R = 2" in out) if argv[0] == "classify" else ("unknown" in out)
 
 
 def test_twisted_eq(casep3_file, capsys):
@@ -181,6 +209,43 @@ def test_verify_with_transport_checks(capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["transport_counts_equal"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, comparisons",
+    [
+        (["--m", "3", "--u", "2", "--matrix", "0,1;-1,-1", "3"],
+         {"tbft": {"result": True}, "count_vs_R": {"result": True},
+          "transport": {"skipped": "no transport checks were requested"}}),
+        (["--m", "3", "--u", "2", "--matrix", "0,1;-1,-1", "2"],
+         {"tbft": {"result": True},
+          "count_vs_R": {"skipped": "n=2 is not a multiple of the exponent 3"},
+          "transport": {"skipped": "no transport checks were requested"}}),
+        (["--m", "2", "--matrix", "-1", "3", "--transport-checks", "2"],
+         {"tbft": {"result": True},
+          "count_vs_R": {"skipped": "the library verdict is infinite"},
+          "transport": {"result": True, "equal": "2/2"}}),
+    ],
+)
+def test_verify_reports_the_comparisons_it_made(argv, comparisons, capsys):
+    assert main(["verify", *argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["comparisons"] == comparisons
+    assert main(["verify", *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name, c in comparisons.items():
+        assert f"  {name}: " + (f"skipped ({c['skipped']})" if "skipped" in c else "True") in out
+
+
+def test_verify_mismatch_names_the_failed_comparison(monkeypatch, capsys):
+    real = cli.twisted_classes_bruteforce
+    monkeypatch.setattr(cli, "twisted_classes_bruteforce",
+                        lambda group, aut: (real(group, aut)[0] + 1, []))
+    argv = ["verify", "--m", "5", "--u", "2", "--matrix", "-1", "2", "--transport-checks", "1"]
+    assert main([*argv, "--json"]) == EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
+    assert report["comparisons"]["transport"] == {"result": False, "equal": "0/1"}
+    assert report["comparisons"]["count_vs_R"] == {"result": True}
+    assert report["transport_counts_equal"] is False and report["match"] is False
 
 
 def test_verify_budget_exceeded(casep3_file, capsys):

@@ -3,7 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from lamptwist.finite_oracle import (
     BudgetExceededError,
     FiniteWreathGroup,
@@ -25,6 +28,7 @@ from lamptwist.wreath import (
 from helpers import random_element
 
 M3 = ORDER_THREE_BLOCK
+M6 = IntMatrix([[0, -1], [1, 1]])  # order 6
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +51,12 @@ def test_project_is_homomorphism():
         b = random_element(rng, 3, 2, box=5)
         assert group.project(a * b) == group.multiply(group.project(a), group.project(b))
         assert group.project(a.inverse()) == group.inverse(group.project(a))
+
+
+@pytest.mark.parametrize("m, n, k", [(2, 1, 1), (5, 1, 2), (3, 2, 1), (2, 3, 1), (3, 2, 2)])
+def test_decode_follows_the_element_order(m, n, k):
+    group = FiniteWreathGroup(m, n, k)
+    assert [group.decode(i) for i in range(group.size)] == list(group.elements())
 
 
 def test_group_arithmetic():
@@ -157,6 +167,61 @@ def test_finite_count_matches_verdict():
         aut = induce_automorphism(phi, n)
         count, _ = twisted_classes_bruteforce(aut.group, aut)
         assert count == 2
+
+
+ORACLE_MATRICES = {
+    1: [IntMatrix([[1]]), IntMatrix([[-1]])],
+    2: [IntMatrix.identity(2), -IntMatrix.identity(2), M3, M6,
+        IntMatrix([[1, 1], [0, 1]]), IntMatrix([[2, 1], [1, 1]])],
+}
+
+
+@st.composite
+def small_quotients(draw):
+    m = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([n for n in range(1, 12) if m ** (n ** k) * n ** k <= 20_000]))
+    coord = st.integers(-3, 3)
+    vector = st.tuples(*[coord] * k)
+    phi = WreathAutomorphism(
+        draw(st.sampled_from(ORACLE_MATRICES[k])),
+        m,
+        draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1])),
+        draw(vector),
+    )
+    if draw(st.booleans()):
+        support = draw(st.lists(st.tuples(vector, st.integers(1, m - 1)), max_size=3))
+        phi = phi.twist(WreathElement(FiniteSupportFunction(m, support), draw(vector)))
+    return induce_automorphism(phi, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_quotients())
+def test_integer_coded_oracle_matches_the_tuple_referee(aut):
+    group = aut.group
+    assert twisted_classes_bruteforce(group, aut) == helpers.twisted_classes_bruteforce(group, aut)
+    labels = helpers.irreps_little_group(group)
+    assert irreps_little_group(group) == labels
+    fixed = sum(1 for label in labels if helpers._transport_label(group, aut, label) == label)
+    assert phi_hat_fixed_count(group, aut) == fixed
+
+
+def test_bruteforce_does_not_multiply_per_element(monkeypatch):
+    calls = []
+    multiply = FiniteWreathGroup.multiply
+
+    def counting(self, x, y):
+        calls.append(1)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FiniteWreathGroup, "multiply", counting)
+    gamma = WreathElement(FiniteSupportFunction(5, [((1,), 3), ((4,), 1)]), (2,))
+    phi = WreathAutomorphism(IntMatrix([[-1]]), 5, 2, (0,)).twist(gamma)
+    aut = induce_automorphism(phi, 6)  # Z_5 wr Z/6: 93,750 elements
+    calls.clear()
+    count, _ = twisted_classes_bruteforce(aut.group, aut)
+    assert count == 2
+    assert 0 < len(calls) < 10
 
 
 def test_class_projection_lands_in_one_class():

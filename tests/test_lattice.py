@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
@@ -12,6 +13,9 @@ from sympy.matrices.normalforms import invariant_factors
 from lamptwist.devices import fixed_characters
 from lamptwist.lattice import (
     IntMatrix,
+    _divisors,
+    _is_prime,
+    _prime_factors,
     coset_representatives,
     det,
     kernel_rank,
@@ -150,6 +154,27 @@ def test_elimination_core_matches_sympy(m):
 
 # ---------------------------------------------------------------------------
 # torsion orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 18 - 1), st.integers(2, 10 ** 9), st.integers(2, 10 ** 9))
+def test_factoring_matches_sympy(n, a, b):
+    # random n rarely has two large prime factors, so also build semiprimes
+    # and prime squares from the next primes after a and b
+    p, q = sympy.nextprime(a), sympy.nextprime(b)
+    for x in (n, p * q, p * p):
+        assert _prime_factors(x) == tuple(sorted(sympy.factorint(x)))
+        assert _is_prime(x) == sympy.isprime(x)
+    small = n % 100_000 + 1
+    assert _divisors(small) == tuple(sympy.divisors(small))
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # least strong pseudoprimes to the first 4, 9 and 12 prime bases, and two
+    # Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not _is_prime(n)
+    assert _is_prime(2) and _is_prime(41) and _is_prime(43) and not _is_prime(1)
 
 
 def test_torsion_order_bound_known_values():
