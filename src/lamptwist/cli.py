@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .finite_oracle import (
@@ -28,6 +29,7 @@ from .finite_oracle import (
 from .lattice import (
     IntMatrix,
     OrbitReport,
+    PrimalityBoundError,
     realized_periods,
     smith_normal_form,
 )
@@ -92,8 +94,9 @@ def _integer(value, field: str) -> int:
 def spec_from_json(obj: dict) -> WreathAutomorphism:
     if not isinstance(obj, dict):
         raise InputError("spec must be a JSON object")
-    if obj.get("version") != SPEC_VERSION:
-        raise InputError(f"unsupported spec version: {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != SPEC_VERSION:  # true and 1.0 are not 1
+        raise InputError(f"unsupported spec version: {version!r}")
     try:
         m = _integer(obj["m"], "m")
         k = _integer(obj["k"], "k")
@@ -422,12 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args makes a fresh namespace per call, so one parser serves them all
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, PrimalityBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -5,8 +5,8 @@ matrix powers, Smith normal forms and kernel computations are exact at any
 size.  There are two eliminations: Bareiss ``det`` for determinants, and
 ``smith_normal_form``, from which ``solve``, ``IntMatrix.inverse``,
 ``kernel_rank`` and the coset enumeration are all read off.  No floating
-point is used anywhere: finite-order detection goes through the Euler-phi
-admissibility bound for torsion in GL_k(Z) instead of eigenvalues.
+point is used anywhere: matrix orders and orbit periods are read off the
+cyclotomic factors of the characteristic polynomial instead of eigenvalues.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable, NamedTuple, Optional
 
 Vector = tuple[int, ...]
 
@@ -50,10 +51,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 
 def vec_neg(a: Vector) -> Vector:
     return tuple(-x for x in a)
-
-
-def vec_scale(a: Vector, c: int) -> Vector:
-    return tuple(c * x for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +129,11 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_size(other)
         cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+        product = object.__new__(IntMatrix)  # the rows below need no re-checking
+        product.rows = tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows
         )
+        return product
 
     def __pow__(self, n: int) -> "IntMatrix":
         if n < 0:
@@ -327,21 +323,25 @@ def kernel_rank(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# torsion orders and orbit periods
+# primes and torsion orders
 
 
 # Miller-Rabin with these bases decides primality exactly below the bound
-# (Sorenson and Webster, 2017); above it a "probably prime" is confirmed by
-# trial division, so every answer stays exact.
+# (Sorenson and Webster, 2017).  Above it, a base that shows n composite is
+# still a proof, but passing every base is not, and no guess is returned.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+class PrimalityBoundError(ValueError):
+    """Primality of a number at or above ``_MR_EXACT_BELOW`` was left undecided."""
 
 
 def _is_prime(n: int) -> bool:
     """Exact primality: deterministic Miller-Rabin below 3.317 * 10^24.
 
-    Above that bound a number that passes every base is confirmed by trial
-    division up to its square root, which is exact but slow.
+    At or above that bound a number that passes every base raises
+    ``PrimalityBoundError``, which names the bound.
     """
     if n < 2:
         return False
@@ -362,9 +362,12 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n < _MR_EXACT_BELOW:
-        return True
-    return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    if n >= _MR_EXACT_BELOW:
+        raise PrimalityBoundError(
+            f"cannot decide exactly whether {n} is prime: primality is exact "
+            f"only below {_MR_EXACT_BELOW}"
+        )
+    return True
 
 
 def _split(n: int) -> int:
@@ -439,8 +442,8 @@ def torsion_order_bound(k: int) -> int:
 
     An order n occurs iff the sum of phi(p^a) over the maximal prime powers
     p^a dividing n is at most k, where a single factor of 2 costs nothing.
-    This is classical background, used here so that finite-order detection
-    needs no eigenvalue numerics.
+    It bounds the order of every finite-order matrix of rank k, and with it
+    the period of every periodic lattice point.
     """
     if k < 1:
         raise ValueError("rank must be positive")
@@ -467,38 +470,183 @@ def torsion_order_bound(k: int) -> int:
     return best
 
 
+# ---------------------------------------------------------------------------
+# characteristic polynomial and its cyclotomic factors
+
+Poly = tuple[int, ...]  # integer coefficients, constant term first
+
+
+def _poly_mul(f: Poly, g: Poly) -> Poly:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_divmod(f: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of f by the monic polynomial d, with deg d <= deg f."""
+    f = list(f)
+    n = len(d) - 1
+    q = [0] * (len(f) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = f[i + n]
+        if c:
+            for j in range(n):
+                f[i + j] -= c * d[j]
+    return tuple(q), tuple(f[:n])
+
+
+def _charpoly(a: IntMatrix) -> Poly:
+    """det(x I - A) by Faddeev-LeVerrier.
+
+    With M_1 = I and M_(j+1) = A M_j + c_(k-j) I, the coefficient of x^(k-j)
+    is c_(k-j) = -tr(A M_j) / j, and each division by j is exact over Z.
+    """
+    rows = a.rows
+    k = len(rows)
+    coeffs = [0] * k + [1]
+    am = [list(row) for row in rows]  # A M_1
+    for j in range(1, k + 1):
+        c = -sum(am[i][i] for i in range(k)) // j
+        coeffs[k - j] = c
+        if j == k:
+            break
+        for i in range(k):
+            am[i][i] += c  # now M_(j+1)
+        cols = tuple(zip(*am))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    return tuple(coeffs)
+
+
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 @lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> Poly:
+    """Phi_n: x^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    f = (-1,) + (0,) * (n - 1) + (1,)
+    for d in _divisors(n)[:-1]:
+        f, _ = _poly_divmod(f, _cyclotomic(d))
+    return f
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_candidates(k: int) -> tuple[int, ...]:
+    """Every n whose Phi_n can divide a degree-k polynomial: phi(n) <= k.
+
+    phi(n) >= sqrt(n / 2) for every n, so the search stops at 2 k^2.
+    """
+    return tuple(n for n in range(1, 2 * k * k + 1) if _totient(n) <= k)
+
+
+class _CyclotomicSplit(NamedTuple):  # a NamedTuple imports faster than a dataclass
+    """chi_A = cofactor * prod Phi_n^(e_n) over ``indices``, e_n >= 1.
+
+    No cyclotomic polynomial divides ``cofactor``.  ``squarefree`` is
+    C = prod Phi_n over the indices, and ``parts[i]`` is C / Phi_(indices[i]).
+    """
+
+    indices: tuple[int, ...]
+    cofactor: Poly
+    squarefree: Poly
+    parts: tuple[Poly, ...]
+
+
+@lru_cache(maxsize=256)
+def _cyclotomic_split(a: IntMatrix) -> _CyclotomicSplit:
+    """Divide every Phi_n with phi(n) <= k out of chi_A, as often as it divides."""
+    f = _charpoly(a)
+    indices = []
+    for n in _cyclotomic_candidates(a.k):
+        phi = _cyclotomic(n)
+        divides = False
+        while len(phi) <= len(f):
+            q, r = _poly_divmod(f, phi)
+            if any(r):
+                break
+            f, divides = q, True
+        if divides:
+            indices.append(n)
+    squarefree: Poly = (1,)
+    for n in indices:
+        squarefree = _poly_mul(squarefree, _cyclotomic(n))
+    parts = tuple(_poly_divmod(squarefree, _cyclotomic(n))[0] for n in indices)
+    return _CyclotomicSplit(tuple(indices), f, squarefree, parts)
+
+
+# ---------------------------------------------------------------------------
+# matrix order and orbit periods
+
+
+@lru_cache(maxsize=256)
 def matrix_order(a: IntMatrix) -> Optional[int]:
-    """Smallest r >= 1 with A^r = identity, or None for infinite order."""
-    if not is_unimodular(a):
+    """Smallest r >= 1 with A^r = identity, or None for infinite order.
+
+    If A^r = I, every eigenvalue is a root of unity, so chi_A is a product
+    of cyclotomic polynomials Phi_n, and each of them divides the minimal
+    polynomial, which divides x^r - 1: so every n divides r.  Hence a
+    cofactor g != 1 means infinite order, and otherwise the only candidate
+    is L = lcm(n_i), confirmed by one fast power (a non-semisimple A such
+    as the shear fails it).
+    """
+    split = _cyclotomic_split(a)
+    if abs(split.cofactor[0]) != 1:  # |chi_A(0)| = |det A| and Phi_n(0) = +-1
         raise ValueError("matrix_order requires a unimodular matrix")
-    ident = IntMatrix.identity(a.k)
-    power = a
-    for r in range(1, torsion_order_bound(a.k) + 1):
-        if power == ident:
-            return r
-        power = power * a
-    return None
+    if len(split.cofactor) > 1:
+        return None
+    order = math.lcm(*split.indices)
+    return order if a ** order == IntMatrix.identity(a.k) else None
 
 
-def _bounded_period(a: IntMatrix, x: Vector, bound: int) -> Optional[int]:
-    y = a.apply(x)
-    for r in range(1, bound + 1):
-        if y == x:
-            return r
-        y = a.apply(y)
-    return None
+def _orbit_coords(a: IntMatrix, x: Vector, split: _CyclotomicSplit) -> Optional[list[Vector]]:
+    """Per coordinate, its values on x, A x, ..., A^(deg C) x; None if C(A) x != 0.
+
+    A polynomial P of degree at most deg C then gives P(A) x by ``_evaluate``.
+    C(A) x = 0 exactly when x is periodic: the annihilator of x then divides
+    the squarefree C, which divides x^L - 1 for L = lcm(n_i); conversely the
+    annihilator of a periodic x divides x^r - 1 and chi_A, so it divides C.
+    """
+    rows = a.rows
+    krylov = [x]
+    for _ in range(len(split.squarefree) - 1):
+        y = krylov[-1]
+        krylov.append(tuple(sum(map(mul, row, y)) for row in rows))
+    coords = list(zip(*krylov))
+    if any(sum(map(mul, split.squarefree, c)) for c in coords):
+        return None
+    return coords
+
+
+def _evaluate(p: Poly, coords: list[Vector]) -> Vector:
+    return tuple(sum(map(mul, p, c)) for c in coords)
+
+
+def _period(split: _CyclotomicSplit, coords: list[Vector]) -> int:
+    """Period of a periodic point: the lcm of the n_i where P_i(A) x != 0.
+
+    On ker C(A), A is semisimple, and ker C(A) is the direct sum of the
+    ker Phi_(n_i)(A).  P_i = C / Phi_(n_i) vanishes at A on every summand
+    but the i-th and is injective there, so the n_i picked out are those
+    of the summands where x has a nonzero component.
+    """
+    return math.lcm(*(
+        n for n, p in zip(split.indices, split.parts)
+        if any(sum(map(mul, p, c)) for c in coords)
+    ))
 
 
 def point_period(a: IntMatrix, x: Iterable[int]) -> int:
     """Least r with A^r x = x.  Defined only for finite-order matrices."""
-    order = matrix_order(a)
-    if order is None:
+    if matrix_order(a) is None:
         raise ValueError("point_period is undefined for infinite-order matrices")
-    x = as_vector(x)
-    period = _bounded_period(a, x, order)
-    assert period is not None
-    return period
+    split = _cyclotomic_split(a)
+    coords = _orbit_coords(a, as_vector(x), split)
+    assert coords is not None  # C(A) = 0 when A has finite order
+    return _period(split, coords)
 
 
 @dataclass(frozen=True)
@@ -528,54 +676,31 @@ class OrbitReport:
 def realized_periods(a: IntMatrix) -> OrbitReport:
     """Exact periods attained by lattice points under A.
 
-    For finite order L the attained periods are the divisors r of L whose
-    fixed lattice of A^r is strictly larger than that of every A^(r/q),
-    q prime: a saturated sublattice cannot be a finite union of proper
-    saturated sublattices, so a rank increase is equivalent to existence of
-    an exact-period point.  For infinite order, only periods of standard
-    basis vectors are collected and the order is reported as None.
+    For finite order, Q^k is the direct sum of the ker Phi_(n_i)(A), and a
+    point has period lcm{n_i : its i-th component is nonzero}; every
+    summand is a rational subspace with nonzero lattice points w_i, so the
+    realized periods are exactly the lcms of subsets of the n_i, with
+    witness the sum of the w_i over the subset.  For infinite order, only
+    periods of standard basis vectors are collected and the order is
+    reported as None.
     """
     order = matrix_order(a)
+    split = _cyclotomic_split(a)
     k = a.k
-    bound = order if order is not None else torsion_order_bound(k)
-    basis = tuple(_bounded_period(a, unit_vector(k, i), bound) for i in range(k))
+    coords = [_orbit_coords(a, unit_vector(k, i), split) for i in range(k)]
+    basis = tuple(None if c is None else _period(split, c) for c in coords)
     realized: dict[int, Vector] = {1: zero_vector(k)}
     if order is None:
         for i, per in enumerate(basis):
             if per is not None and per not in realized:
                 realized[per] = unit_vector(k, i)
         return OrbitReport(None, tuple(sorted(realized.items())), basis)
-    ident = IntMatrix.identity(k)
-    ranks: dict[int, int] = {}
-    for r in _divisors(order):
-        fix = a ** r - ident
-        ranks[r] = kernel_rank(fix)
-        if r > 1 and all(ranks[r // q] < ranks[r] for q in _prime_factors(r)):
-            realized[r] = _exact_period_witness(a, r, order, smith_normal_form(fix))
+    for n, p in zip(split.indices, split.parts):
+        # (C / Phi_n)(A) != 0, and its columns lie in ker Phi_n(A)
+        w = next(w for w in (_evaluate(p, c) for c in coords) if any(w))
+        for r, v in list(realized.items()):
+            realized.setdefault(math.lcm(r, n), vec_add(v, w))
     return OrbitReport(order, tuple(sorted(realized.items())), basis)
-
-
-def _exact_period_witness(
-    a: IntMatrix, r: int, order: int, dec: SmithDecomposition
-) -> Vector:
-    """A point of exact period r, from the Smith form ``dec`` of A^r - I."""
-    k = a.k
-    basis = [
-        tuple(dec.V.rows[row][c] for row in range(k))
-        for c in range(k)
-        if dec.diagonal[c] == 0
-    ]
-    # Combinations along a moment curve avoid the (finitely many) proper
-    # saturated sublattices of lower exact period.
-    for j in range(1, 4 * len(basis) + 9):
-        w = zero_vector(k)
-        scale = 1
-        for b in basis:
-            w = vec_add(w, vec_scale(b, scale))
-            scale *= j
-        if any(w) and _bounded_period(a, w, order) == r:
-            return w
-    raise AssertionError("no exact-period witness found; rank test violated")
 
 
 # ---------------------------------------------------------------------------

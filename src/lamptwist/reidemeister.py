@@ -22,6 +22,7 @@ from .lattice import (
     Vector,
     _is_prime,
     _prime_factors,
+    _totient,
     coset_representatives,
     det,
     matrix_order,
@@ -68,9 +69,7 @@ def unit_order(u: int, m: int) -> int:
     u %= m
     if math.gcd(u, m) != 1:
         raise ValueError("u must be a unit mod m")
-    d = m
-    for p in _prime_factors(m):
-        d = d // p * (p - 1)
+    d = _totient(m)
     for p in _prime_factors(d):
         while d % p == 0 and pow(u, d // p, m) == 1:
             d //= p

@@ -3,9 +3,14 @@
 Everything takes an explicit random.Random so tests stay reproducible;
 seeds are fixed in the test modules.
 
-The last section is the finite oracle as it was before its loops moved to
-integer codes: it works on (f, t) tuples through ``FiniteWreathGroup.multiply``
-and ``translate_f``, and serves as the referee of the integer-coded one.
+Two sections hold earlier implementations that now serve as referees:
+
+* the finite oracle as it was before its loops moved to integer codes: it
+  works on (f, t) tuples through ``FiniteWreathGroup.multiply`` and
+  ``translate_f``, and referees the integer-coded one;
+* the orbit analysis as it was before it was read off the characteristic
+  polynomial: it walks up to ``torsion_order_bound(k)`` powers and basis
+  vector images, and referees ``matrix_order`` and ``realized_periods``.
 """
 
 from itertools import permutations, product
@@ -17,7 +22,20 @@ from lamptwist.finite_oracle import (
     IrrepLabel,
     _generators,
 )
-from lamptwist.lattice import IntMatrix, Vector
+from lamptwist.lattice import (
+    IntMatrix,
+    OrbitReport,
+    SmithDecomposition,
+    Vector,
+    _divisors,
+    _prime_factors,
+    is_unimodular,
+    kernel_rank,
+    smith_normal_form,
+    torsion_order_bound,
+    unit_vector,
+    zero_vector,
+)
 from lamptwist.wreath import FiniteSupportFunction, WreathElement
 
 
@@ -200,3 +218,83 @@ def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> in
     """Number of irreducible representation classes fixed by pullback."""
     labels = irreps_little_group(group)
     return sum(1 for label in labels if _transport_label(group, aut, label) == label)
+
+
+# ---------------------------------------------------------------------------
+# walk-based referee orbit analysis
+
+
+def walk_matrix_order(a: IntMatrix):
+    """Smallest r >= 1 with A^r = identity, or None for infinite order."""
+    if not is_unimodular(a):
+        raise ValueError("matrix_order requires a unimodular matrix")
+    ident = IntMatrix.identity(a.k)
+    power = a
+    for r in range(1, torsion_order_bound(a.k) + 1):
+        if power == ident:
+            return r
+        power = power * a
+    return None
+
+
+def walk_period(a: IntMatrix, x: Vector, bound: int):
+    """Least r <= bound with A^r x = x, or None."""
+    y = a.apply(x)
+    for r in range(1, bound + 1):
+        if y == x:
+            return r
+        y = a.apply(y)
+    return None
+
+
+def walk_realized_periods(a: IntMatrix) -> OrbitReport:
+    """Exact periods attained by lattice points under A.
+
+    For finite order L the attained periods are the divisors r of L whose
+    fixed lattice of A^r is strictly larger than that of every A^(r/q),
+    q prime: a saturated sublattice cannot be a finite union of proper
+    saturated sublattices, so a rank increase is equivalent to existence of
+    an exact-period point.  For infinite order, only periods of standard
+    basis vectors are collected and the order is reported as None.
+    """
+    order = walk_matrix_order(a)
+    k = a.k
+    bound = order if order is not None else torsion_order_bound(k)
+    basis = tuple(walk_period(a, unit_vector(k, i), bound) for i in range(k))
+    realized: dict[int, Vector] = {1: zero_vector(k)}
+    if order is None:
+        for i, per in enumerate(basis):
+            if per is not None and per not in realized:
+                realized[per] = unit_vector(k, i)
+        return OrbitReport(None, tuple(sorted(realized.items())), basis)
+    ident = IntMatrix.identity(k)
+    ranks: dict[int, int] = {}
+    for r in _divisors(order):
+        fix = a ** r - ident
+        ranks[r] = kernel_rank(fix)
+        if r > 1 and all(ranks[r // q] < ranks[r] for q in _prime_factors(r)):
+            realized[r] = _exact_period_witness(a, r, order, smith_normal_form(fix))
+    return OrbitReport(order, tuple(sorted(realized.items())), basis)
+
+
+def _exact_period_witness(
+    a: IntMatrix, r: int, order: int, dec: SmithDecomposition
+) -> Vector:
+    """A point of exact period r, from the Smith form ``dec`` of A^r - I."""
+    k = a.k
+    basis = [
+        tuple(dec.V.rows[row][c] for row in range(k))
+        for c in range(k)
+        if dec.diagonal[c] == 0
+    ]
+    # Combinations along a moment curve avoid the (finitely many) proper
+    # saturated sublattices of lower exact period.
+    for j in range(1, 4 * len(basis) + 9):
+        w = zero_vector(k)
+        scale = 1
+        for b in basis:
+            w = tuple(x + scale * y for x, y in zip(w, b))
+            scale *= j
+        if any(w) and walk_period(a, w, order) == r:
+            return w
+    raise AssertionError("no exact-period witness found; rank test violated")

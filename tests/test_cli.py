@@ -130,6 +130,8 @@ def test_classify_bad_spec_file(tmp_path, capsys):
         dict(CASEP3_SPEC, matrix=[[0, True], [-1, -1]]),
         dict(CASEP3_SPEC, x0=[0, 0.5]),
         dict(CASEP3_SPEC, x0="00"),
+        dict(CASEP3_SPEC, version=True),
+        dict(CASEP3_SPEC, version=1.0),
     ],
 )
 def test_classify_malformed_input_is_an_input_error(tmp_path, capsys, spec_or_argv):
@@ -172,6 +174,39 @@ def test_large_composite_modulus_is_fast(argv, capsys):
     assert time.perf_counter() - started < 1.0
     out = capsys.readouterr().out
     assert ("R = 2" in out) if argv[0] == "classify" else ("unknown" in out)
+
+
+# composite, and a strong pseudoprime to every Miller-Rabin base the engine uses
+STRONG_PSEUDOPRIME = "3317044064679887385961981"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group-status", STRONG_PSEUDOPRIME, "2"],
+        ["classify", "--m", STRONG_PSEUDOPRIME, "--u", "2", "--matrix", "-1"],
+    ],
+)
+def test_modulus_past_the_primality_bound_is_an_input_error(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == EXIT_INPUT
+    assert time.perf_counter() - started < 1.0
+    assert "only below 3317044064679887385961981" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    for _ in range(2):
+        assert main(["orbits", "--m", "3", "--matrix", "-1", "--json"]) == EXIT_OK
+    assert capsys.readouterr().out.count('"order": 2') == 2
+    assert len(built) == 1
 
 
 def test_twisted_eq(casep3_file, capsys):

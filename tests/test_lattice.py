@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -13,6 +14,10 @@ from sympy.matrices.normalforms import invariant_factors
 from lamptwist.devices import fixed_characters
 from lamptwist.lattice import (
     IntMatrix,
+    PrimalityBoundError,
+    _charpoly,
+    _cyclotomic,
+    _cyclotomic_candidates,
     _divisors,
     _is_prime,
     _prime_factors,
@@ -29,7 +34,13 @@ from lamptwist.lattice import (
     vec_sub,
 )
 
-from helpers import random_finite_order_unimodular, random_unimodular
+from helpers import (
+    random_finite_order_unimodular,
+    random_unimodular,
+    walk_matrix_order,
+    walk_period,
+    walk_realized_periods,
+)
 
 M3 = IntMatrix([[0, 1], [-1, -1]])
 I2 = IntMatrix.identity(2)
@@ -177,6 +188,17 @@ def test_is_prime_on_strong_pseudoprimes():
     assert _is_prime(2) and _is_prime(41) and _is_prime(43) and not _is_prime(1)
 
 
+def test_is_prime_names_its_bound_instead_of_guessing():
+    started = time.perf_counter()
+    # composite, and a strong pseudoprime to every base; then the prime 2^89 - 1
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(PrimalityBoundError, match="only below 3317044064679887385961981"):
+            _is_prime(n)
+    assert time.perf_counter() - started < 1.0
+    # a base that shows a number composite is a proof at any size
+    assert not _is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+
+
 def test_torsion_order_bound_known_values():
     assert [torsion_order_bound(k) for k in range(1, 9)] == [2, 6, 6, 12, 12, 30, 30, 60]
 
@@ -260,6 +282,109 @@ def test_realized_periods_infinite_order():
     assert report.order is None
     assert report.periods == {1, 2}
     assert report.basis_periods == (2, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the orbit analysis read off the characteristic polynomial
+
+
+def companion(poly):
+    """Companion matrix of a monic polynomial, constant term first."""
+    k = len(poly) - 1
+    rows = [[int(i == j + 1) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        rows[i][k - 1] = -poly[i]
+    return IntMatrix(rows)
+
+
+CAT = IntMatrix([[2, 1], [1, 1]])
+SHEAR = IntMatrix([[1, 1], [0, 1]])
+FINITE_BLOCKS = [IntMatrix([[1]]), IntMatrix([[-1]])] + [
+    companion(_cyclotomic(n)) for n in (3, 4, 5, 6, 8, 10, 12)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_charpoly_matches_sympy(m):
+    x = sympy.Symbol("x")
+    ref = Matrix(m.to_lists()).charpoly(x).all_coeffs()
+    assert _charpoly(m) == tuple(int(c) for c in reversed(ref))
+
+
+def test_cyclotomic_table_matches_sympy():
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert _cyclotomic(n) == tuple(int(c) for c in reversed(ref))
+    for k in (1, 2, 6, 16):
+        ref = tuple(n for n in range(1, 4 * k * k) if sympy.totient(n) <= k)
+        assert _cyclotomic_candidates(k) == ref
+
+
+@st.composite
+def orbit_matrices(draw):
+    """Unimodular k <= 6: finite-order conjugates, cat or shear next to
+    finite blocks, and random elementary products."""
+    kind = draw(st.sampled_from(["signed-permutation", "blocks", "cat", "shear", "elementary"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "elementary":
+        return random_unimodular(rng, draw(st.integers(1, 6)), 16)
+    if kind == "signed-permutation":
+        return random_finite_order_unimodular(rng, draw(st.integers(1, 6)))
+    blocks = {"blocks": [], "cat": [CAT], "shear": [SHEAR]}[kind]
+    while True:
+        size = sum(b.k for b in blocks)
+        fits = [b for b in FINITE_BLOCKS if size + b.k <= 6]
+        if not fits or (blocks and draw(st.booleans())):
+            break
+        blocks.append(draw(st.sampled_from(fits)))
+    a = IntMatrix.block_diagonal(*draw(st.permutations(blocks)))
+    if not draw(st.booleans()):  # keep some basis vectors inside one block
+        return a
+    p = random_unimodular(rng, a.k, 6)
+    return p * a * p.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_matrices(), st.randoms(use_true_random=False))
+def test_orbit_analysis_matches_the_walk_referee(a, rng):
+    ref = walk_realized_periods(a)
+    report = realized_periods(a)
+    assert matrix_order(a) == ref.order == report.order
+    assert report.basis_periods == ref.basis_periods
+    assert report.periods == ref.periods
+    bound = report.order or torsion_order_bound(a.k)
+    for r, w in report.realized:
+        assert walk_period(a, w, bound) == r
+    if report.order is not None:
+        x = tuple(rng.randrange(-3, 4) for _ in range(a.k))
+        assert point_period(a, x) == walk_period(a, x, report.order)
+
+
+def test_matrix_order_at_rank_16_needs_few_products(monkeypatch):
+    # a walk over the torsion bound makes 840 products at k = 16
+    limit = 2 * math.log2(torsion_order_bound(16)) + 2
+    rng = random.Random(16)
+    p = random_unimodular(rng, 16, 24)
+    blocks = [companion(_cyclotomic(n)) for n in (5, 7, 8)]  # orders 5, 7 and 8
+    mats = [
+        random_unimodular(rng, 16, 48),  # chi_A has a non-cyclotomic factor
+        p * IntMatrix.block_diagonal(SHEAR, *blocks) * p.inverse(),  # chi_A is cyclotomic
+    ]
+    calls = []
+    real = IntMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    for a in mats:
+        calls.clear()
+        assert matrix_order.__wrapped__(a) is None
+        assert len(calls) < limit
+    assert matrix_order.cache_info().maxsize is not None
 
 
 def test_point_period_examples():
