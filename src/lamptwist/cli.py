@@ -224,9 +224,11 @@ def cmd_group_status(args: argparse.Namespace) -> int:
             )
         )
         return EXIT_OK
+    # the witness's R needs the totient of m, which may hit the primality
+    # bound: decide it before the first line is printed
+    verdict = reidemeister_number(status.example) if status.example else None
     print(f"Z_{args.m} wr Z^{args.k}: {status.status}")
-    if witness_spec:
-        verdict = reidemeister_number(status.example)
+    if verdict is not None:
         print(f"witness automorphism (R = {verdict.value}):")
         print(json.dumps(witness_spec, indent=2))
     return EXIT_OK

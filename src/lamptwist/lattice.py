@@ -323,7 +323,7 @@ def kernel_rank(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# primes and torsion orders
+# primes and factoring
 
 
 # Miller-Rabin with these bases decides primality exactly below the bound
@@ -434,40 +434,6 @@ def _divisors(n: int) -> tuple[int, ...]:
     for p, e in _factorization(n).items():
         divisors = [d * p ** i for d in divisors for i in range(e + 1)]
     return tuple(sorted(divisors))
-
-
-@lru_cache(maxsize=None)
-def torsion_order_bound(k: int) -> int:
-    """Largest finite order of an element of GL_k(Z).
-
-    An order n occurs iff the sum of phi(p^a) over the maximal prime powers
-    p^a dividing n is at most k, where a single factor of 2 costs nothing.
-    It bounds the order of every finite-order matrix of rank k, and with it
-    the period of every periodic lattice point.
-    """
-    if k < 1:
-        raise ValueError("rank must be positive")
-    primes = [p for p in range(2, k + 2) if _is_prime(p)]
-    best = 1
-
-    def extend(idx: int, budget: int, n: int) -> None:
-        nonlocal best
-        if n > best:
-            best = n
-        for i in range(idx, len(primes)):
-            p = primes[i]
-            q = p
-            exponent = 1
-            while True:
-                cost = 0 if (p == 2 and exponent == 1) else (q // p) * (p - 1)
-                if cost > budget:
-                    break
-                extend(i + 1, budget - cost, n * q)
-                q *= p
-                exponent += 1
-
-    extend(0, k, 1)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +605,22 @@ def _period(split: _CyclotomicSplit, coords: list[Vector]) -> int:
     ))
 
 
+def orbit_period(a: IntMatrix, x: Iterable[int]) -> Optional[int]:
+    """Least r >= 1 with A^r x = x, or None when the orbit of x is unbounded.
+
+    A lattice point's orbit is finite exactly when it is bounded.  For an
+    affine map x -> A x + x0, ask about (x, 1) under [[A, x0], [0, 1]].
+    """
+    split = _cyclotomic_split(a)
+    coords = _orbit_coords(a, as_vector(x), split)
+    return None if coords is None else _period(split, coords)
+
+
 def point_period(a: IntMatrix, x: Iterable[int]) -> int:
     """Least r with A^r x = x.  Defined only for finite-order matrices."""
     if matrix_order(a) is None:
         raise ValueError("point_period is undefined for infinite-order matrices")
-    split = _cyclotomic_split(a)
-    coords = _orbit_coords(a, as_vector(x), split)
-    assert coords is not None  # C(A) = 0 when A has finite order
-    return _period(split, coords)
+    return orbit_period(a, x)
 
 
 @dataclass(frozen=True)
@@ -713,9 +687,9 @@ def coset_representatives(m: IntMatrix) -> tuple[Vector, ...]:
     Representatives are produced canonically from the Smith form: diagonal
     coordinates 0 <= c_i < d_i mapped back through U^{-1}.
     """
-    if det(m) == 0:
-        raise ValueError("infinite index: det = 0")
     dec = smith_normal_form(m)
+    if 0 in dec.diagonal:
+        raise ValueError("infinite index: det = 0")
     u_inv = dec.U.inverse()
     return tuple(
         u_inv.apply(combo) for combo in product(*(range(d) for d in dec.diagonal))

@@ -25,11 +25,10 @@ from .lattice import (
     _totient,
     coset_representatives,
     det,
-    matrix_order,
+    orbit_period,
     point_period,
     realized_periods,
     solve,
-    torsion_order_bound,
     unit_vector,
     vec_add,
     vec_neg,
@@ -74,12 +73,6 @@ def unit_order(u: int, m: int) -> int:
         while d % p == 0 and pow(u, d // p, m) == 1:
             d //= p
     return d
-
-
-def reidemeister_abelian(a: IntMatrix) -> Optional[int]:
-    """Class count of A acting on Z^k: |det(I - A)|, or None when that is 0."""
-    d = det(IntMatrix.identity(a.k) - a)
-    return abs(d) if d else None
 
 
 @dataclass(frozen=True)
@@ -198,13 +191,16 @@ def are_twisted_conjugate_sigma(
     """Decide h1 - h2 in image(1 - phi') on the base subgroup, with witness.
 
     The difference is split along orbits of the affine position map
-    x -> A x + x0.  Finite orbits give a cyclic linear system whose
-    solvability is governed by gcd(1 - u^r, m); orbits that do not close
-    give a forward-substitution telescope that must end in zero.  When A
-    has infinite order (or det(I - A) = 0), support points further than
-    ``orbit_window`` steps apart along one orbit are treated as lying on
-    separate orbits, so a False answer is exact only up to that window;
-    every True answer carries an exactly verified witness.
+    x -> A x + x0.  Whether a support point's orbit is finite is decided
+    exactly, by ``orbit_period`` on the lift (x, 1) -> (A x + x0, 1), whatever
+    A is.  A finite orbit of length r gives a cyclic linear system whose
+    solvability is governed by gcd(1 - u^r, m); an open orbit gives a
+    forward-substitution telescope that must end in zero.  Open orbits are
+    grouped only within ``orbit_window`` steps each way of a support point:
+    support points further apart along one open orbit are treated as lying
+    on separate orbits, so a False answer that met an open orbit is exact
+    only up to that window.  Every True answer carries an exactly verified
+    witness.
 
     Inner-twisted automorphisms are rejected: reduce them through the
     right-shift transport of classes first.
@@ -220,12 +216,8 @@ def are_twisted_conjugate_sigma(
     if any(len(p) != phi.k for p in v.support()):
         raise ValueError("support dimension does not match the automorphism rank")
 
-    order = matrix_order(a)
-    closes = order is not None and det(IntMatrix.identity(a.k) - a) != 0
-    # a periodic point of the affine map has period at most the torsion
-    # bound, so cycle detection below this walk length is exact
-    bound = order if closes else max(orbit_window, torsion_order_bound(a.k))
-    a_inv = a.inverse()
+    lifted = IntMatrix([row + (c,) for row, c in zip(a.rows, x0)] + [(0,) * a.k + (1,)])
+    a_inv: Optional[IntMatrix] = None
 
     def step(p: Vector) -> Vector:
         return vec_add(a.apply(p), x0)
@@ -233,18 +225,20 @@ def are_twisted_conjugate_sigma(
     def step_back(p: Vector) -> Vector:
         return a_inv.apply(vec_sub(p, x0))
 
+    def walk(move, p: Vector, n: int) -> list[Vector]:
+        path = [p]
+        for _ in range(n):
+            path.append(move(path[-1]))
+        return path
+
     remaining = set(v.support())
     entries: list[tuple[Vector, int]] = []
     while remaining:
         start = min(remaining)
-        seq = [start]
-        cur = step(start)
-        while cur != start and len(seq) <= bound:
-            seq.append(cur)
-            cur = step(cur)
-        if cur == start:
+        r = orbit_period(lifted, start + (1,))
+        if r is not None:
             # cyclic orbit of length r: solve (1 - u^r) a0 = telescoped sum
-            r = len(seq)
+            seq = walk(step, start, r - 1)
             vals = [v.value_at(q) for q in seq]
             remaining.difference_update(seq)
             c = vals[0]
@@ -260,16 +254,13 @@ def are_twisted_conjugate_sigma(
                 coeffs.append((vals[i] + u * coeffs[i - 1]) % m)
             entries.extend(zip(seq, coeffs))
         else:
-            if closes:
-                raise AssertionError("finite-order orbit failed to close within the order")
-            # open orbit segment: extend backward so the window is two-sided
-            back = []
-            cur = step_back(start)
-            for _ in range(bound):
-                back.append(cur)
-                cur = step_back(cur)
-            line = list(reversed(back)) + seq
-            vals = [v.value_at(q) for q in line]
+            # open orbit: the window runs orbit_window steps each way, and a
+            # point an earlier window took is read as zero, so no value counts twice
+            if a_inv is None:
+                a_inv = a.inverse()
+            back = walk(step_back, start, orbit_window)
+            line = back[:0:-1] + walk(step, start, orbit_window)
+            vals = [v.value_at(q) if q in remaining else 0 for q in line]
             remaining.difference_update(line)
             support_idx = [i for i, val in enumerate(vals) if val]
             lo, hi = support_idx[0], support_idx[-1]
@@ -400,13 +391,18 @@ class GroupStatus:
 def r_infinity_status(m: int, k: int) -> GroupStatus:
     """Does every automorphism of Z_m wr Z^k have infinitely many classes?
 
-    Decided cases: m = 2 always; m = 3 depending on the parity of k, with
-    the block-of-order-3 witness for even k; prime m > 3 via A = -I, u = 2;
-    and rank k = 1 for any m by the coprimality of m with 6.  Composite m
-    with k >= 2 is undecided and reported as unknown.
+    Decided cases: rank k = 1 for any m by the coprimality of m with 6;
+    m = 2 always; m = 3 depending on the parity of k, with the
+    block-of-order-3 witness for even k; and prime m > 3 via A = -I, u = 2.
+    Composite m with k >= 2 is undecided and reported as unknown.
     """
     if m < 2 or k < 1:
         raise ValueError("need modulus >= 2 and rank >= 1")
+    if k == 1:  # needs no primality test, so it holds for any m
+        if math.gcd(m, 6) == 1:
+            example = WreathAutomorphism(IntMatrix([[-1]]), m, 2, (0,))
+            return GroupStatus(NOT_R_INFINITY, example)
+        return GroupStatus(HAS_R_INFINITY)
     if m == 2:
         return GroupStatus(HAS_R_INFINITY)
     if m == 3:
@@ -420,9 +416,4 @@ def r_infinity_status(m: int, k: int) -> GroupStatus:
     if _is_prime(m):
         example = WreathAutomorphism(-IntMatrix.identity(k), m, 2, zero_vector(k))
         return GroupStatus(NOT_R_INFINITY, example)
-    if k == 1:
-        if math.gcd(m, 6) == 1:
-            example = WreathAutomorphism(IntMatrix([[-1]]), m, 2, (0,))
-            return GroupStatus(NOT_R_INFINITY, example)
-        return GroupStatus(HAS_R_INFINITY)
     return GroupStatus(STATUS_UNKNOWN)

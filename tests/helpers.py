@@ -3,16 +3,21 @@
 Everything takes an explicit random.Random so tests stay reproducible;
 seeds are fixed in the test modules.
 
-Two sections hold earlier implementations that now serve as referees:
+Three sections hold earlier implementations that now serve as referees:
 
 * the finite oracle as it was before its loops moved to integer codes: it
   works on (f, t) tuples through ``FiniteWreathGroup.multiply`` and
   ``translate_f``, and referees the integer-coded one;
 * the orbit analysis as it was before it was read off the characteristic
   polynomial: it walks up to ``torsion_order_bound(k)`` powers and basis
-  vector images, and referees ``matrix_order`` and ``realized_periods``.
+  vector images, and referees ``matrix_order`` and ``realized_periods``;
+* the base-subgroup decision as it was before periodicity was read off the
+  lifted matrix: it finds cycles of x -> A x + x0 by a walk bounded by
+  ``torsion_order_bound(k)``, and referees ``orbit_period`` and
+  ``are_twisted_conjugate_sigma``.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from lamptwist.finite_oracle import (
@@ -28,15 +33,16 @@ from lamptwist.lattice import (
     SmithDecomposition,
     Vector,
     _divisors,
+    _is_prime,
     _prime_factors,
     is_unimodular,
     kernel_rank,
     smith_normal_form,
-    torsion_order_bound,
     unit_vector,
+    vec_add,
     zero_vector,
 )
-from lamptwist.wreath import FiniteSupportFunction, WreathElement
+from lamptwist.wreath import FiniteSupportFunction, WreathAutomorphism, WreathElement
 
 
 def elementary_add(k, i, j, c):
@@ -224,6 +230,40 @@ def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> in
 # walk-based referee orbit analysis
 
 
+@lru_cache(maxsize=None)
+def torsion_order_bound(k: int) -> int:
+    """Largest finite order of an element of GL_k(Z).
+
+    An order n occurs iff the sum of phi(p^a) over the maximal prime powers
+    p^a dividing n is at most k, where a single factor of 2 costs nothing.
+    It bounds the order of every finite-order matrix of rank k, and with it
+    the period of every periodic lattice point.
+    """
+    if k < 1:
+        raise ValueError("rank must be positive")
+    primes = [p for p in range(2, k + 2) if _is_prime(p)]
+    best = 1
+
+    def extend(idx: int, budget: int, n: int) -> None:
+        nonlocal best
+        if n > best:
+            best = n
+        for i in range(idx, len(primes)):
+            p = primes[i]
+            q = p
+            exponent = 1
+            while True:
+                cost = 0 if (p == 2 and exponent == 1) else (q // p) * (p - 1)
+                if cost > budget:
+                    break
+                extend(i + 1, budget - cost, n * q)
+                q *= p
+                exponent += 1
+
+    extend(0, k, 1)
+    return best
+
+
 def walk_matrix_order(a: IntMatrix):
     """Smallest r >= 1 with A^r = identity, or None for infinite order."""
     if not is_unimodular(a):
@@ -298,3 +338,67 @@ def _exact_period_witness(
         if any(w) and walk_period(a, w, order) == r:
             return w
     raise AssertionError("no exact-period witness found; rank test violated")
+
+
+# ---------------------------------------------------------------------------
+# walk-based referee twisted conjugacy in the base subgroup
+
+
+def walk_affine_period(a: IntMatrix, x0: Vector, x: Vector):
+    """Least r with T^r x = x for T(y) = A y + x0, or None.
+
+    Exact: the centroid c of a finite orbit is fixed by T, and
+    T^j x - c = A^j (x - c), so the period is a period of A on a rational
+    point, at most ``torsion_order_bound(k)``.
+    """
+    y = x
+    for r in range(1, torsion_order_bound(a.k) + 1):
+        y = vec_add(a.apply(y), x0)
+        if y == x:
+            return r
+    return None
+
+
+def walk_twisted_conjugate_sigma(phi: WreathAutomorphism, v: FiniteSupportFunction,
+                                 orbit_window: int) -> bool:
+    """Is v in image(1 - phi')?  Same grouping contract as the engine.
+
+    Cycles come from ``walk_affine_period``.  On a cycle of length r the
+    system w_i - u w_(i-1) = v_i (indices mod r) is tried for every start
+    value w_0 mod m.  An open orbit is read in a window of ``orbit_window``
+    steps each way, skipping points an earlier window took; the telescope
+    ends in zero iff sum_i v_i u^(hi - i) = 0 mod m.
+    """
+    m, u, a, x0 = phi.m, phi.u, phi.matrix, phi.x0
+    a_inv = a.inverse()
+    remaining = set(v.support())
+    while remaining:
+        start = min(remaining)
+        r = walk_affine_period(a, x0, start)
+        if r is not None:
+            orbit = [start]
+            for _ in range(r - 1):
+                orbit.append(vec_add(a.apply(orbit[-1]), x0))
+            vals = [v.value_at(q) for q in orbit]
+            remaining.difference_update(orbit)
+
+            def closes(w0):
+                w = w0
+                for val in vals[1:]:
+                    w = (val + u * w) % m
+                return (vals[0] + u * w - w0) % m == 0
+
+            if not any(closes(w0) for w0 in range(m)):
+                return False
+        else:
+            back, fwd = [start], [start]
+            for _ in range(orbit_window):
+                back.append(a_inv.apply(tuple(p - c for p, c in zip(back[-1], x0))))
+                fwd.append(vec_add(a.apply(fwd[-1]), x0))
+            line = back[:0:-1] + fwd
+            vals = [v.value_at(q) if q in remaining else 0 for q in line]
+            remaining.difference_update(line)
+            hi = max(i for i, val in enumerate(vals) if val)
+            if sum(val * pow(u, hi - i, m) for i, val in enumerate(vals[: hi + 1])) % m:
+                return False
+    return True

@@ -22,7 +22,12 @@ from lamptwist.cli import (
 from lamptwist.finite_oracle import DEFAULT_ELEMENT_BUDGET
 from lamptwist.lattice import IntMatrix
 from lamptwist.reidemeister import DEFAULT_SEARCH_BUDGET, ORDER_THREE_BLOCK
-from lamptwist.wreath import WreathAutomorphism, WreathElement
+from lamptwist.wreath import (
+    FiniteSupportFunction,
+    WreathAutomorphism,
+    WreathElement,
+    format_element,
+)
 
 CASEP3_SPEC = {
     "version": 1,
@@ -194,6 +199,21 @@ def test_modulus_past_the_primality_bound_is_an_input_error(argv, capsys):
     assert "only below 3317044064679887385961981" in capsys.readouterr().err
 
 
+def test_rank_one_group_status_needs_no_primality_test(capsys):
+    started = time.perf_counter()
+    assert main(["group-status", STRONG_PSEUDOPRIME, "1", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "not-r-infinity"
+    assert spec_from_json(report["witness_spec"]).matrix == IntMatrix([[-1]])
+    # the text form prints the witness's R, whose unit order needs phi(m):
+    # it fails before anything is printed
+    assert main(["group-status", STRONG_PSEUDOPRIME, "1"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "only below 3317044064679887385961981" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built = []
 
@@ -217,6 +237,24 @@ def test_twisted_eq(casep3_file, capsys):
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["status"] == "no"
     assert main(["twisted-eq", casep3_file, "garbage", "f=[] t=(0,0)"]) == EXIT_INPUT
+
+
+def test_twisted_eq_support_far_apart_on_one_orbit(tmp_path, capsys):
+    # p, A^300 p and A^700 p: the default window from A^700 p reaches back to
+    # A^300 p, which the window from p already took.  With u = 1 the value
+    # sum mod m is a class invariant, and here it is 3 = 1 mod 2.
+    spec = {"version": 1, "m": 2, "k": 2, "u": 1, "matrix": [[2, 1], [1, 1]], "x0": [0, 0]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(spec))
+    a = IntMatrix(spec["matrix"])
+    points, p = [], (1, 0)
+    for n in range(701):
+        if n in (0, 300, 700):
+            points.append(p)
+        p = a.apply(p)
+    h = WreathElement(FiniteSupportFunction(2, [(q, 1) for q in points]), (0, 0))
+    assert main(["twisted-eq", str(path), "f=[] t=(0,0)", format_element(h)]) == EXIT_OK
+    assert "answer: no" in capsys.readouterr().out
 
 
 def test_orbits(casep3_file, capsys):

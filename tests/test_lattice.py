@@ -25,11 +25,11 @@ from lamptwist.lattice import (
     det,
     kernel_rank,
     matrix_order,
+    orbit_period,
     point_period,
     realized_periods,
     smith_normal_form,
     solve,
-    torsion_order_bound,
     vec_add,
     vec_sub,
 )
@@ -37,6 +37,7 @@ from lamptwist.lattice import (
 from helpers import (
     random_finite_order_unimodular,
     random_unimodular,
+    torsion_order_bound,
     walk_matrix_order,
     walk_period,
     walk_realized_periods,
@@ -395,6 +396,18 @@ def test_point_period_examples():
         point_period(IntMatrix([[2, 1], [1, 1]]), (1, 0))
 
 
+def test_orbit_period_examples():
+    assert orbit_period(M3, (1, 0)) == 3
+    assert orbit_period(CAT, (0, 0)) == 1
+    assert orbit_period(CAT, (1, 0)) is None
+    assert orbit_period(SHEAR, (1, 0)) == 1  # on the fixed axis
+    assert orbit_period(SHEAR, (0, 1)) is None
+    # x -> S x + (2, 0) for the shear S, lifted: (x, -2) is fixed, the rest is open
+    lifted = IntMatrix([[1, 1, 2], [0, 1, 0], [0, 0, 1]])
+    assert orbit_period(lifted, (5, -2, 1)) == 1
+    assert orbit_period(lifted, (5, -1, 1)) is None
+
+
 # ---------------------------------------------------------------------------
 # fixed characters and coset enumeration
 
@@ -435,8 +448,9 @@ def test_coset_representatives_examples():
         for y in reps[i + 1 :]:
             diff = tuple(a - b for a, b in zip(x, y))
             assert solve(I2 - M3, diff) is None  # pairwise non-congruent
-    with pytest.raises(ValueError):
-        coset_representatives(I2 - I2)
+    for singular in (I2 - I2, IntMatrix([[1, 1], [1, 1]])):
+        with pytest.raises(ValueError, match="infinite index: det = 0"):
+            coset_representatives(singular)
 
 
 def test_count_coincidences():

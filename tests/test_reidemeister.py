@@ -9,8 +9,9 @@ from sympy import Matrix, eye
 
 from lamptwist import reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
-from lamptwist.lattice import IntMatrix, det, torsion_order_bound
+from lamptwist.lattice import IntMatrix, det, orbit_period, solve, unit_vector
 from lamptwist.reidemeister import (
+    DEFAULT_ORBIT_WINDOW,
     HAS_R_INFINITY,
     NOT_R_INFINITY,
     ORDER_THREE_BLOCK,
@@ -25,7 +26,6 @@ from lamptwist.reidemeister import (
     class_representatives,
     classify_sigma,
     r_infinity_status,
-    reidemeister_abelian,
     reidemeister_number,
     unit_order,
 )
@@ -41,6 +41,9 @@ from helpers import (
     random_finite_order_unimodular,
     random_function,
     random_unimodular,
+    torsion_order_bound,
+    walk_affine_period,
+    walk_twisted_conjugate_sigma,
 )
 
 M3 = ORDER_THREE_BLOCK
@@ -86,10 +89,12 @@ def test_unit_order_large_prime_modulus():
 
 
 def test_reidemeister_abelian_examples():
+    # a finite R(phi) is the class count |det(I - A)| of A on Z^k
     for k in (1, 2, 3):
-        assert reidemeister_abelian(-IntMatrix.identity(k)) == 2 ** k
-    assert reidemeister_abelian(M3) == 3
-    assert reidemeister_abelian(I2) is None
+        phi = WreathAutomorphism(-IntMatrix.identity(k), 5, 2, (0,) * k)
+        assert reidemeister_number(phi).value == 2 ** k
+    assert reidemeister_number(WreathAutomorphism(M3, 3, 2, (0, 0))).value == 3
+    assert reidemeister_number(WreathAutomorphism(I2, 3, 2, (0, 0))).value is None
 
 
 def test_cyclic_block_det_examples():
@@ -192,7 +197,7 @@ def test_verdict_consistency():
         phi = WreathAutomorphism(a, m, u, x0)
         verdict = reidemeister_number(phi)
         if verdict.finite:
-            assert verdict.value == reidemeister_abelian(a)
+            assert verdict.value == abs(det(IntMatrix.identity(k) - a))
             assert sigma_verdict(phi).rule == RULE_CYLINDER
             assert verdict.rule == RULE_CYLINDER
 
@@ -364,6 +369,115 @@ def test_sigma_infinite_order_telescope():
     # single generators are never in the image on an infinite orbit
     d = FiniteSupportFunction.delta(5, (1, 0))
     assert are_twisted_conjugate_sigma(phi, d, FiniteSupportFunction(5)) == (False, None)
+
+
+def test_sigma_overlapping_windows_read_each_value_once():
+    # the window from 3 reaches back to 1, which the window from -1 already took;
+    # with u = 1 the value sum mod m is a class invariant, and here it is 1
+    phi = WreathAutomorphism(IntMatrix([[1]]), 2, 1, (1,))
+    v = FiniteSupportFunction(2, [((-1,), 1), ((1,), 1), ((3,), 1)])
+    zero = FiniteSupportFunction(2)
+    assert are_twisted_conjugate_sigma(phi, v, zero, orbit_window=3) == (False, None)
+    assert walk_twisted_conjugate_sigma(phi, v, 3) is False
+
+
+CAT = IntMatrix([[2, 1], [1, 1]])
+SHEAR = IntMatrix([[1, 1], [0, 1]])
+ONE_MINUS_ONE = IntMatrix([[1, 0], [0, -1]])
+
+
+def lift(a, x0):
+    """The (k + 1)-matrix [[A, x0], [0, 1]] acting on (x, 1) as x -> A x + x0."""
+    rows = [list(row) + [c] for row, c in zip(a.rows, x0)]
+    return IntMatrix(rows + [[0] * a.k + [1]])
+
+
+@st.composite
+def affine_maps(draw):
+    """(A, x0, points): maps with periodic points next to open orbits.
+
+    Shear with x0 on its fixed axis (fixed line x2 = -c), cat map with its
+    integer fixed point (I - A)^-1 x0, [[1]] + [[-1]] with x0 across its
+    fixed axis (every point periodic) or with a component along it (every
+    orbit open), and random finite-order or elementary A at k <= 3; each
+    is conjugated or not.
+    """
+    kind = draw(st.sampled_from(["shear", "cat", "one-minus-one", "finite", "elementary"]))
+    rng = draw(st.randoms(use_true_random=False))
+    small = st.integers(-3, 3)
+    c = draw(small)
+    points = []
+    if kind == "shear":
+        a, x0 = SHEAR, (c, 0)
+        points = [(draw(small), -c)]
+    elif kind == "cat":
+        a, x0 = CAT, (c, draw(small))
+        points = [solve(IntMatrix.identity(2) - a, x0)]
+    elif kind == "one-minus-one":
+        a, x0 = ONE_MINUS_ONE, (draw(st.sampled_from([0, c])), draw(small))
+    else:
+        k = draw(st.integers(1, 3))
+        make = random_finite_order_unimodular if kind == "finite" else random_unimodular
+        a, x0 = make(rng, k), tuple(draw(small) for _ in range(k))
+    if draw(st.booleans()):
+        p = random_unimodular(rng, a.k, 4)
+        a, x0, points = p * a * p.inverse(), p.apply(x0), [p.apply(q) for q in points]
+    points += [tuple(draw(small) for _ in range(a.k)) for _ in range(3)]
+    return a, tuple(x0), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_maps(), st.sampled_from([2, 3, 5, 7, 9]), st.sampled_from([3, 8, 512]),
+       st.randoms(use_true_random=False))
+def test_periodicity_and_sigma_match_the_walk_referee(affine, m, window, rng):
+    a, x0, points = affine
+    lifted = lift(a, x0)
+    for x in points:
+        assert orbit_period(lifted, x + (1,)) == walk_affine_period(a, x0, x)
+    phi = WreathAutomorphism(a, m, rng.choice(units(m)), x0)
+    # a boundary w - phi'(w) on the chosen points, sometimes plus noise
+    w = FiniteSupportFunction(m, [(x, rng.randrange(1, m)) for x in points])
+    v = w - phi.apply_base(w)
+    if rng.random() < 0.5:
+        v = v + FiniteSupportFunction(m, [(rng.choice(points), rng.randrange(1, m))])
+    zero = FiniteSupportFunction(m)
+    ok, witness = are_twisted_conjugate_sigma(phi, v, zero, window)
+    assert ok == walk_twisted_conjugate_sigma(phi, v, window)
+    if ok:
+        assert v == witness - phi.apply_base(witness)
+
+
+_P16 = random_unimodular(random.Random(16), 16, 24)
+RANK16 = _P16 * IntMatrix.block_diagonal(CAT, IntMatrix.identity(14)) * _P16.inverse()
+
+
+@pytest.mark.parametrize(
+    "a, window",
+    [(CAT, 3), (CAT, DEFAULT_ORBIT_WINDOW), (RANK16, 3), (RANK16, DEFAULT_ORBIT_WINDOW)],
+    ids=["k2-3", "k2-default", "k16-3", "k16-default"],
+)
+def test_open_orbit_window_groups_points_at_most_window_apart(a, window):
+    # v = delta_p - u^d delta_(A^d p) is the boundary of sum_(i<d) u^i delta_(A^i p),
+    # so it is in the image; sigma sees that iff both points share one window.
+    # The window starts at the lexicographically least point, which is p for
+    # one sign of e_1 and A^d p for the other, so both directions are checked.
+    k, m, u = a.k, 5, 2
+    phi = WreathAutomorphism(a, m, u, (0,) * k)
+    zero = FiniteSupportFunction(m)
+    for sign in (1, -1):
+        p = tuple(sign * c for c in unit_vector(k, 0))
+        assert orbit_period(lift(a, (0,) * k), p + (1,)) is None
+        q = p
+        for d in range(1, window + 2):
+            q = a.apply(q)
+            if d < window:
+                continue
+            v = FiniteSupportFunction(m, [(p, 1), (q, -(u ** d))])
+            ok, _ = are_twisted_conjugate_sigma(phi, v, zero, window)
+            assert ok == (d <= window)
+    if k == 16:
+        # the window is exactly orbit_window, not the rank-16 torsion bound
+        assert DEFAULT_ORBIT_WINDOW < torsion_order_bound(16) == 840
 
 
 def test_sigma_rejects_inner_twists():
