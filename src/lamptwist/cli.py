@@ -235,6 +235,8 @@ def cmd_group_status(args: argparse.Namespace) -> int:
 
 
 def cmd_twisted_eq(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise InputError("--budget must be >= 1")
     phi = _load_spec(args)
     try:
         g = parse_element(args.element1, phi.m)

@@ -537,11 +537,29 @@ def _cyclotomic_split(a: IntMatrix) -> _CyclotomicSplit:
             f, divides = q, True
         if divides:
             indices.append(n)
+    return _split_from(tuple(indices), f)
+
+
+def _split_from(indices: tuple[int, ...], cofactor: Poly) -> _CyclotomicSplit:
     squarefree: Poly = (1,)
     for n in indices:
         squarefree = _poly_mul(squarefree, _cyclotomic(n))
     parts = tuple(_poly_divmod(squarefree, _cyclotomic(n))[0] for n in indices)
-    return _CyclotomicSplit(tuple(indices), f, squarefree, parts)
+    return _CyclotomicSplit(indices, cofactor, squarefree, parts)
+
+
+@lru_cache(maxsize=256)
+def _lift_split(a: IntMatrix) -> _CyclotomicSplit:
+    """Split of every lift [[A, x0], [0, 1]], read off A's own split.
+
+    The lift's characteristic polynomial is chi_A * (x - 1) = chi_A * Phi_1,
+    whatever x0 is: the cofactor is A's, and index 1 joins the indices if
+    it is missing (candidates ascend, so it comes first).
+    """
+    split = _cyclotomic_split(a)
+    if split.indices[:1] == (1,):
+        return split
+    return _split_from((1,) + split.indices, split.cofactor)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +586,17 @@ def matrix_order(a: IntMatrix) -> Optional[int]:
     return order if a ** order == IntMatrix.identity(a.k) else None
 
 
-def _orbit_coords(a: IntMatrix, x: Vector, split: _CyclotomicSplit) -> Optional[list[Vector]]:
+def _orbit_coords(rows: tuple[Vector, ...], x: Vector,
+                  split: _CyclotomicSplit) -> Optional[list[Vector]]:
     """Per coordinate, its values on x, A x, ..., A^(deg C) x; None if C(A) x != 0.
+
+    ``rows`` are the rows of A.
 
     A polynomial P of degree at most deg C then gives P(A) x by ``_evaluate``.
     C(A) x = 0 exactly when x is periodic: the annihilator of x then divides
     the squarefree C, which divides x^L - 1 for L = lcm(n_i); conversely the
     annihilator of a periodic x divides x^r - 1 and chi_A, so it divides C.
     """
-    rows = a.rows
     krylov = [x]
     for _ in range(len(split.squarefree) - 1):
         y = krylov[-1]
@@ -609,10 +629,23 @@ def orbit_period(a: IntMatrix, x: Iterable[int]) -> Optional[int]:
     """Least r >= 1 with A^r x = x, or None when the orbit of x is unbounded.
 
     A lattice point's orbit is finite exactly when it is bounded.  For an
-    affine map x -> A x + x0, ask about (x, 1) under [[A, x0], [0, 1]].
+    affine map x -> A x + x0, see ``affine_period``.
     """
     split = _cyclotomic_split(a)
-    coords = _orbit_coords(a, as_vector(x), split)
+    coords = _orbit_coords(a.rows, as_vector(x), split)
+    return None if coords is None else _period(split, coords)
+
+
+def affine_period(a: IntMatrix, x0: Vector, x: Vector) -> Optional[int]:
+    """Least r >= 1 with T^r x = x for T(y) = A y + x0, or None when unbounded.
+
+    This is the period of (x, 1) under the lift [[A, x0], [0, 1]].  The
+    lift's split is derived from A's cached one, so a new x0 costs no
+    characteristic polynomial.
+    """
+    split = _lift_split(a)
+    rows = tuple(row + (c,) for row, c in zip(a.rows, x0)) + ((0,) * a.k + (1,),)
+    coords = _orbit_coords(rows, x + (1,), split)
     return None if coords is None else _period(split, coords)
 
 
@@ -661,7 +694,7 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
     order = matrix_order(a)
     split = _cyclotomic_split(a)
     k = a.k
-    coords = [_orbit_coords(a, unit_vector(k, i), split) for i in range(k)]
+    coords = [_orbit_coords(a.rows, unit_vector(k, i), split) for i in range(k)]
     basis = tuple(None if c is None else _period(split, c) for c in coords)
     realized: dict[int, Vector] = {1: zero_vector(k)}
     if order is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Optional
 
 from .lattice import (
@@ -23,9 +24,9 @@ from .lattice import (
     _is_prime,
     _prime_factors,
     _totient,
+    affine_period,
     coset_representatives,
     det,
-    orbit_period,
     point_period,
     realized_periods,
     solve,
@@ -192,15 +193,16 @@ def are_twisted_conjugate_sigma(
 
     The difference is split along orbits of the affine position map
     x -> A x + x0.  Whether a support point's orbit is finite is decided
-    exactly, by ``orbit_period`` on the lift (x, 1) -> (A x + x0, 1), whatever
+    exactly, by ``affine_period`` (the lift (x, 1) -> (A x + x0, 1)), whatever
     A is.  A finite orbit of length r gives a cyclic linear system whose
     solvability is governed by gcd(1 - u^r, m); an open orbit gives a
     forward-substitution telescope that must end in zero.  Open orbits are
     grouped only within ``orbit_window`` steps each way of a support point:
     support points further apart along one open orbit are treated as lying
     on separate orbits, so a False answer that met an open orbit is exact
-    only up to that window.  Every True answer carries an exactly verified
-    witness.
+    only up to that window.  The walk along an open orbit stops early once
+    every support point not yet read lies on it, which changes no answer.
+    Every True answer carries an exactly verified witness.
 
     Inner-twisted automorphisms are rejected: reduce them through the
     right-shift transport of classes first.
@@ -216,31 +218,26 @@ def are_twisted_conjugate_sigma(
     if any(len(p) != phi.k for p in v.support()):
         raise ValueError("support dimension does not match the automorphism rank")
 
-    lifted = IntMatrix([row + (c,) for row, c in zip(a.rows, x0)] + [(0,) * a.k + (1,)])
-    a_inv: Optional[IntMatrix] = None
+    # x -> A x + x0 as (row, offset) pairs; the inverse map A^-1 x - A^-1 x0
+    # is built when the first open orbit is met
+    forward = tuple(zip(a.rows, x0))
+    backward: Optional[tuple] = None
 
-    def step(p: Vector) -> Vector:
-        return vec_add(a.apply(p), x0)
+    def step(pairs, p: Vector) -> Vector:
+        return tuple([sum(map(mul, row, p)) + c for row, c in pairs])
 
-    def step_back(p: Vector) -> Vector:
-        return a_inv.apply(vec_sub(p, x0))
-
-    def walk(move, p: Vector, n: int) -> list[Vector]:
-        path = [p]
-        for _ in range(n):
-            path.append(move(path[-1]))
-        return path
-
-    remaining = set(v.support())
+    # support values not yet read; popping them reads each value once
+    remaining = dict(v.items())
     entries: list[tuple[Vector, int]] = []
     while remaining:
         start = min(remaining)
-        r = orbit_period(lifted, start + (1,))
+        r = affine_period(a, x0, start)
         if r is not None:
             # cyclic orbit of length r: solve (1 - u^r) a0 = telescoped sum
-            seq = walk(step, start, r - 1)
-            vals = [v.value_at(q) for q in seq]
-            remaining.difference_update(seq)
+            seq = [start]
+            for _ in range(r - 1):
+                seq.append(step(forward, seq[-1]))
+            vals = [remaining.pop(q, 0) for q in seq]
             c = vals[0]
             power = 1
             for j in range(1, r):
@@ -254,14 +251,23 @@ def are_twisted_conjugate_sigma(
                 coeffs.append((vals[i] + u * coeffs[i - 1]) % m)
             entries.extend(zip(seq, coeffs))
         else:
-            # open orbit: the window runs orbit_window steps each way, and a
-            # point an earlier window took is read as zero, so no value counts twice
-            if a_inv is None:
+            # open orbit: the window runs at most orbit_window steps each way
+            # and stops once every remaining support point is on it; points
+            # further along are zero, and the telescope reads only lo..hi
+            if backward is None:
                 a_inv = a.inverse()
-            back = walk(step_back, start, orbit_window)
-            line = back[:0:-1] + walk(step, start, orbit_window)
-            vals = [v.value_at(q) if q in remaining else 0 for q in line]
-            remaining.difference_update(line)
+                backward = tuple(zip(a_inv.rows, vec_neg(a_inv.apply(x0))))
+            back, fwd = [start], [start]
+            missing = len(remaining) - 1
+            for _ in range(orbit_window):
+                if not missing:
+                    break
+                p, q = step(backward, back[-1]), step(forward, fwd[-1])
+                back.append(p)
+                fwd.append(q)
+                missing -= (p in remaining) + (q in remaining)
+            line = back[:0:-1] + fwd
+            vals = [remaining.pop(q, 0) for q in line]
             support_idx = [i for i, val in enumerate(vals) if val]
             lo, hi = support_idx[0], support_idx[-1]
             coeff = 0
@@ -349,25 +355,50 @@ def are_twisted_conjugate_full(
     # degenerate quotient: search the twisted class breadth-first
     if g == h:
         return ConjugacyAnswer(YES, witness=WreathElement.identity(phi.m, phi.k))
-    gens = _bfs_generators(phi.m, phi.k)
-    steps = [(gen, phi.apply(gen).inverse()) for gen in gens]
-    seen = {g}
-    queue = deque([(g, WreathElement.identity(phi.m, phi.k))])
+    m = phi.m
+    gens = _bfs_generators(m, phi.k)
+    # gen * (cf, ct) * tail = (gf + cf shifted by gt + tf shifted by gt + ct, gt + ct + tt)
+    moves = []
+    for gen in gens:
+        tail = phi.apply(gen).inverse()
+        moves.append((gen.t, any(gen.t), gen.f.items(), tail.t, tail.f.items()))
+    target = (h.t, frozenset(h.f.items()))
+    start = (g.t, frozenset(g.f.items()))
+    parent: dict = {start: None}  # node -> (node it was reached from, generator index)
+    queue = deque([start])
     nodes = 0
     while queue:
-        cur, w = queue.popleft()
-        for gen, tail in steps:
-            nxt = gen * cur * tail
-            conj = gen * w
-            if nxt == h:
+        cur = queue.popleft()
+        ct, cf = cur
+        for i, (gt, shifts, gf, tt, tf) in enumerate(moves):
+            gct = tuple(map(add, gt, ct))
+            f = dict(gf)
+            for p, val in cf:
+                if shifts:
+                    p = tuple(map(add, p, gt))
+                f[p] = f.get(p, 0) + val
+            for p, val in tf:
+                p = tuple(map(add, p, gct))
+                f[p] = f.get(p, 0) + val
+            nxt = (tuple(map(add, gct, tt)),
+                   frozenset([(p, r) for p, val in f.items() if (r := val % m)]))
+            if nxt == target:
+                path = [i]
+                node = cur
+                while parent[node] is not None:
+                    node, j = parent[node]
+                    path.append(j)
+                conj = WreathElement.identity(m, phi.k)
+                for j in reversed(path):
+                    conj = gens[j] * conj
                 assert twisted_transform(phi, g, conj) == h
                 return ConjugacyAnswer(YES, witness=conj)
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in parent:
+                parent[nxt] = (cur, i)
                 nodes += 1
                 if nodes >= budget:
                     return ConjugacyAnswer(UNKNOWN, reason="search budget exhausted")
-                queue.append((nxt, conj))
+                queue.append(nxt)
     return ConjugacyAnswer(NO, reason="twisted class exhausted without reaching target")
 
 

@@ -3,7 +3,7 @@
 Everything takes an explicit random.Random so tests stay reproducible;
 seeds are fixed in the test modules.
 
-Three sections hold earlier implementations that now serve as referees:
+Four sections hold earlier implementations that now serve as referees:
 
 * the finite oracle as it was before its loops moved to integer codes: it
   works on (f, t) tuples through ``FiniteWreathGroup.multiply`` and
@@ -13,12 +13,18 @@ Three sections hold earlier implementations that now serve as referees:
   vector images, and referees ``matrix_order`` and ``realized_periods``;
 * the base-subgroup decision as it was before periodicity was read off the
   lifted matrix: it finds cycles of x -> A x + x0 by a walk bounded by
-  ``torsion_order_bound(k)``, and referees ``orbit_period`` and
-  ``are_twisted_conjugate_sigma``.
+  ``torsion_order_bound(k)``, and referees ``orbit_period``,
+  ``affine_period`` and ``are_twisted_conjugate_sigma``;
+* both twisted-conjugacy decisions as they were before their loops moved
+  to plain tuples: the base-subgroup walk over the full window and the
+  breadth-first search over ``WreathElement`` products, which referee the
+  early stop of the open-orbit walk and the keyed search.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Optional
 
 from lamptwist.finite_oracle import (
     FiniteAutomorphism,
@@ -35,14 +41,33 @@ from lamptwist.lattice import (
     _divisors,
     _is_prime,
     _prime_factors,
+    det,
     is_unimodular,
     kernel_rank,
+    orbit_period,
     smith_normal_form,
+    solve,
     unit_vector,
     vec_add,
+    vec_sub,
     zero_vector,
 )
-from lamptwist.wreath import FiniteSupportFunction, WreathAutomorphism, WreathElement
+from lamptwist.reidemeister import (
+    DEFAULT_ORBIT_WINDOW,
+    DEFAULT_SEARCH_BUDGET,
+    NO,
+    UNKNOWN,
+    YES,
+    ConjugacyAnswer,
+    _bfs_generators,
+    _solve_congruence,
+)
+from lamptwist.wreath import (
+    FiniteSupportFunction,
+    WreathAutomorphism,
+    WreathElement,
+    twisted_transform,
+)
 
 
 def elementary_add(k, i, j, c):
@@ -96,6 +121,12 @@ def random_finite_order_unimodular(rng, k, conjugations=4):
     p = random_signed_permutation(rng, k)
     u = random_unimodular(rng, k, conjugations)
     return u * p * u.inverse()
+
+
+def lift(a, x0):
+    """The (k + 1)-matrix [[A, x0], [0, 1]] acting on (x, 1) as x -> A x + x0."""
+    rows = [list(row) + [c] for row, c in zip(a.rows, x0)]
+    return IntMatrix(rows + [[0] * a.k + [1]])
 
 
 def random_function(rng, m, k, max_support=3, box=3):
@@ -402,3 +433,178 @@ def walk_twisted_conjugate_sigma(phi: WreathAutomorphism, v: FiniteSupportFuncti
             if sum(val * pow(u, hi - i, m) for i, val in enumerate(vals[: hi + 1])) % m:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# step-by-step referee twisted conjugacy
+#
+# The engine's two loops as they were before they ran on plain tuples: the
+# base-subgroup decision walks the full window each way with IntMatrix.apply,
+# and the degenerate-case search forms WreathElement products on every edge.
+
+
+def stepwise_twisted_conjugate_sigma(
+    phi: WreathAutomorphism,
+    h1: FiniteSupportFunction,
+    h2: FiniteSupportFunction,
+    orbit_window: int = DEFAULT_ORBIT_WINDOW,
+) -> tuple[bool, Optional[FiniteSupportFunction]]:
+    """Decide h1 - h2 in image(1 - phi') on the base subgroup, with witness.
+
+    The difference is split along orbits of the affine position map
+    x -> A x + x0.  Whether a support point's orbit is finite is decided
+    exactly, by ``orbit_period`` on the lift (x, 1) -> (A x + x0, 1), whatever
+    A is.  A finite orbit of length r gives a cyclic linear system whose
+    solvability is governed by gcd(1 - u^r, m); an open orbit gives a
+    forward-substitution telescope that must end in zero.  Open orbits are
+    grouped only within ``orbit_window`` steps each way of a support point:
+    support points further apart along one open orbit are treated as lying
+    on separate orbits, so a False answer that met an open orbit is exact
+    only up to that window.  Every True answer carries an exactly verified
+    witness.
+
+    Inner-twisted automorphisms are rejected: reduce them through the
+    right-shift transport of classes first.
+    """
+    if not phi.is_standard:
+        raise ValueError("inner-twisted automorphism: reduce via shift transport first")
+    if h1.m != phi.m or h2.m != phi.m:
+        raise ValueError("modulus mismatch")
+    m, u, a, x0 = phi.m, phi.u, phi.matrix, phi.x0
+    v = h1 - h2
+    if not v:
+        return True, FiniteSupportFunction(m)
+    if any(len(p) != phi.k for p in v.support()):
+        raise ValueError("support dimension does not match the automorphism rank")
+
+    lifted = IntMatrix([row + (c,) for row, c in zip(a.rows, x0)] + [(0,) * a.k + (1,)])
+    a_inv: Optional[IntMatrix] = None
+
+    def step(p: Vector) -> Vector:
+        return vec_add(a.apply(p), x0)
+
+    def step_back(p: Vector) -> Vector:
+        return a_inv.apply(vec_sub(p, x0))
+
+    def walk(move, p: Vector, n: int) -> list[Vector]:
+        path = [p]
+        for _ in range(n):
+            path.append(move(path[-1]))
+        return path
+
+    remaining = set(v.support())
+    entries: list[tuple[Vector, int]] = []
+    while remaining:
+        start = min(remaining)
+        r = orbit_period(lifted, start + (1,))
+        if r is not None:
+            # cyclic orbit of length r: solve (1 - u^r) a0 = telescoped sum
+            seq = walk(step, start, r - 1)
+            vals = [v.value_at(q) for q in seq]
+            remaining.difference_update(seq)
+            c = vals[0]
+            power = 1
+            for j in range(1, r):
+                power = (power * u) % m
+                c = (c + power * vals[r - j]) % m
+            a0 = _solve_congruence((1 - pow(u, r, m)) % m, c, m)
+            if a0 is None:
+                return False, None
+            coeffs = [a0]
+            for i in range(1, r):
+                coeffs.append((vals[i] + u * coeffs[i - 1]) % m)
+            entries.extend(zip(seq, coeffs))
+        else:
+            # open orbit: the window runs orbit_window steps each way, and a
+            # point an earlier window took is read as zero, so no value counts twice
+            if a_inv is None:
+                a_inv = a.inverse()
+            back = walk(step_back, start, orbit_window)
+            line = back[:0:-1] + walk(step, start, orbit_window)
+            vals = [v.value_at(q) if q in remaining else 0 for q in line]
+            remaining.difference_update(line)
+            support_idx = [i for i, val in enumerate(vals) if val]
+            lo, hi = support_idx[0], support_idx[-1]
+            coeff = 0
+            for i in range(lo, hi + 1):
+                coeff = (vals[i] + u * coeff) % m
+                if coeff and i < hi:
+                    entries.append((line[i], coeff))
+            if coeff:
+                # telescope does not terminate: a finitely supported
+                # preimage would need an infinite tail
+                return False, None
+    witness = FiniteSupportFunction(m, entries)
+    assert h1 - h2 == witness - phi.apply_base(witness)
+    return True, witness
+
+
+def element_twisted_conjugate_full(
+    phi: WreathAutomorphism,
+    g: WreathElement,
+    h: WreathElement,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    orbit_window: int = DEFAULT_ORBIT_WINDOW,
+) -> ConjugacyAnswer:
+    """Decide whether g and h lie in the same twisted class of phi.
+
+    Projecting to the translation quotient is always necessary, so a coset
+    mismatch of the translations modulo (I - A) Z^k is an exact No.  When
+    det(I - A) != 0 the translation part of any conjugator is forced to the
+    unique solution z of (I - A) z = t_h - t_g, which reduces the question
+    to one solvable system in the base subgroup: the answer is then an
+    exact Yes (with verified witness) or No.  Only the degenerate case
+    det(I - A) = 0 falls back to a breadth-first search over twisted
+    transforms, which reports Unknown once ``budget`` nodes are expanded.
+    """
+    if g.m != phi.m or h.m != phi.m or g.k != phi.k or h.k != phi.k:
+        raise ValueError("elements from a different group")
+    if phi.inner is not None:
+        # right-shift transport: x ~ y under tau_gamma o phi iff
+        # x*gamma ~ y*gamma under phi, with the same conjugator
+        return element_twisted_conjugate_full(
+            phi.standard(), g * phi.inner, h * phi.inner, budget, orbit_window
+        )
+    a = phi.matrix
+    i_minus_a = IntMatrix.identity(a.k) - a
+    dt = vec_sub(h.t, g.t)
+    z = solve(i_minus_a, dt)
+    if z is None:
+        return ConjugacyAnswer(NO, reason="translations lie in different quotient classes")
+    if det(i_minus_a) != 0:
+        # conjugator translation is forced; one base-subgroup solve decides
+        v = h.f - g.f.translate(z)
+        phi_eff = WreathAutomorphism(a, phi.m, phi.u, vec_add(phi.x0, h.t))
+        ok, c = stepwise_twisted_conjugate_sigma(
+            phi_eff, v, FiniteSupportFunction(phi.m), orbit_window
+        )
+        if not ok:
+            return ConjugacyAnswer(
+                NO, reason="base equation unsolvable for the forced conjugator translation"
+            )
+        w = WreathElement(c, z)
+        assert twisted_transform(phi, g, w) == h
+        return ConjugacyAnswer(YES, witness=w)
+    # degenerate quotient: search the twisted class breadth-first
+    if g == h:
+        return ConjugacyAnswer(YES, witness=WreathElement.identity(phi.m, phi.k))
+    gens = _bfs_generators(phi.m, phi.k)
+    steps = [(gen, phi.apply(gen).inverse()) for gen in gens]
+    seen = {g}
+    queue = deque([(g, WreathElement.identity(phi.m, phi.k))])
+    nodes = 0
+    while queue:
+        cur, w = queue.popleft()
+        for gen, tail in steps:
+            nxt = gen * cur * tail
+            conj = gen * w
+            if nxt == h:
+                assert twisted_transform(phi, g, conj) == h
+                return ConjugacyAnswer(YES, witness=conj)
+            if nxt not in seen:
+                seen.add(nxt)
+                nodes += 1
+                if nodes >= budget:
+                    return ConjugacyAnswer(UNKNOWN, reason="search budget exhausted")
+                queue.append((nxt, conj))
+    return ConjugacyAnswer(NO, reason="twisted class exhausted without reaching target")

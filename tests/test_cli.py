@@ -364,6 +364,17 @@ def test_verify_rejects_negative_transport_checks(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_twisted_eq_rejects_budget_below_one(budget, capsys):
+    argv = ["twisted-eq", "--m", "3", "--u", "1", "--matrix", "1,1;0,1",
+            "f=[] t=(0,0)", "f=[(5,7):1] t=(0,0)", "--budget", budget]
+    assert main(argv) == EXIT_INPUT
+    assert "--budget must be >= 1" in capsys.readouterr().err
+    argv[-1] = "1"
+    assert main([*argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "unknown"
+
+
 def test_flags_belong_to_the_subcommands_that_read_them():
     parser = build_parser()
     inline = ["--m", "3", "--matrix", "-1"]

@@ -18,9 +18,12 @@ from lamptwist.lattice import (
     _charpoly,
     _cyclotomic,
     _cyclotomic_candidates,
+    _cyclotomic_split,
     _divisors,
     _is_prime,
+    _lift_split,
     _prime_factors,
+    affine_period,
     coset_representatives,
     det,
     kernel_rank,
@@ -35,6 +38,7 @@ from lamptwist.lattice import (
 )
 
 from helpers import (
+    lift,
     random_finite_order_unimodular,
     random_unimodular,
     torsion_order_bound,
@@ -406,6 +410,23 @@ def test_orbit_period_examples():
     lifted = IntMatrix([[1, 1, 2], [0, 1, 0], [0, 0, 1]])
     assert orbit_period(lifted, (5, -2, 1)) == 1
     assert orbit_period(lifted, (5, -1, 1)) is None
+    assert affine_period(SHEAR, (2, 0), (5, -2)) == 1
+    assert affine_period(SHEAR, (2, 0), (5, -1)) is None
+    assert affine_period(M3, (1, 0), (0, 0)) == 3  # (0,0) -> (1,0) -> (1,-1) -> (0,0)
+    assert affine_period(CAT, (1, 0), (0, -1)) == 1  # (I - A)^-1 (1, 0) = (0, -1)
+    assert affine_period(CAT, (1, 0), (0, 1)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(orbit_matrices(),
+              st.sampled_from([SHEAR, IntMatrix([[1, 0], [0, -1]]), IntMatrix([[1]])])),
+    st.randoms(use_true_random=False),
+)
+def test_lift_split_is_read_off_the_split_of_a(a, rng):
+    # chi of [[A, x0], [0, 1]] is chi_A * (x - 1), whatever x0 is
+    x0 = tuple(rng.randrange(-3, 4) for _ in range(a.k))
+    assert _lift_split(a) == _cyclotomic_split(lift(a, x0))
 
 
 # ---------------------------------------------------------------------------

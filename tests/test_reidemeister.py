@@ -9,7 +9,7 @@ from sympy import Matrix, eye
 
 from lamptwist import reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
-from lamptwist.lattice import IntMatrix, det, orbit_period, solve, unit_vector
+from lamptwist.lattice import IntMatrix, affine_period, det, orbit_period, solve, unit_vector
 from lamptwist.reidemeister import (
     DEFAULT_ORBIT_WINDOW,
     HAS_R_INFINITY,
@@ -20,7 +20,9 @@ from lamptwist.reidemeister import (
     RULE_INFINITE_ORBIT,
     RULE_NON_EPI,
     STATUS_UNKNOWN,
+    YES,
     ReidemeisterVerdict,
+    _bfs_generators,
     are_twisted_conjugate_full,
     are_twisted_conjugate_sigma,
     class_representatives,
@@ -37,10 +39,13 @@ from lamptwist.wreath import (
 )
 
 from helpers import (
+    element_twisted_conjugate_full,
+    lift,
     random_element,
     random_finite_order_unimodular,
     random_function,
     random_unimodular,
+    stepwise_twisted_conjugate_sigma,
     torsion_order_bound,
     walk_affine_period,
     walk_twisted_conjugate_sigma,
@@ -386,12 +391,6 @@ SHEAR = IntMatrix([[1, 1], [0, 1]])
 ONE_MINUS_ONE = IntMatrix([[1, 0], [0, -1]])
 
 
-def lift(a, x0):
-    """The (k + 1)-matrix [[A, x0], [0, 1]] acting on (x, 1) as x -> A x + x0."""
-    rows = [list(row) + [c] for row, c in zip(a.rows, x0)]
-    return IntMatrix(rows + [[0] * a.k + [1]])
-
-
 @st.composite
 def affine_maps(draw):
     """(A, x0, points): maps with periodic points next to open orbits.
@@ -433,7 +432,9 @@ def test_periodicity_and_sigma_match_the_walk_referee(affine, m, window, rng):
     a, x0, points = affine
     lifted = lift(a, x0)
     for x in points:
-        assert orbit_period(lifted, x + (1,)) == walk_affine_period(a, x0, x)
+        period = walk_affine_period(a, x0, x)
+        assert orbit_period(lifted, x + (1,)) == period
+        assert affine_period(a, x0, x) == period
     phi = WreathAutomorphism(a, m, rng.choice(units(m)), x0)
     # a boundary w - phi'(w) on the chosen points, sometimes plus noise
     w = FiniteSupportFunction(m, [(x, rng.randrange(1, m)) for x in points])
@@ -478,6 +479,58 @@ def test_open_orbit_window_groups_points_at_most_window_apart(a, window):
     if k == 16:
         # the window is exactly orbit_window, not the rank-16 torsion bound
         assert DEFAULT_ORBIT_WINDOW < torsion_order_bound(16) == 840
+
+
+CAT_CAT = IntMatrix.block_diagonal(CAT, CAT)
+
+
+@st.composite
+def open_orbit_supports(draw):
+    """(phi, v, window): runs along one or several open orbits of x -> A x + x0.
+
+    A is the cat map or cat + cat, whose only periodic point is the fixed
+    point (I - A)^-1 x0.  Each run adds c (delta_(T^s p) - u^d delta_(T^(s+d) p)),
+    the boundary of c sum_(i<d) u^i delta_(T^(s+i) p), with d on either side
+    of the window; runs share an orbit or not, and v sometimes gets a stray
+    value on one of its points.
+    """
+    a = draw(st.sampled_from([CAT, CAT_CAT]))
+    k = a.k
+    m = draw(st.sampled_from([2, 3, 5]))
+    u = draw(st.sampled_from(units(m)))
+    window = draw(st.sampled_from([3, 8, 512]))
+    small = st.integers(-2, 2)
+    x0 = tuple(draw(small) for _ in range(k))
+    phi = WreathAutomorphism(a, m, u, x0)
+    fixed = solve(IntMatrix.identity(k) - a, x0)
+    distances = st.sampled_from([1, 2, window - 1, window, window + 1, window + 2])
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = tuple(draw(small) for _ in range(k))
+        if p == fixed:
+            continue
+        for _ in range(draw(st.integers(1, 2))):
+            s, d = draw(st.integers(0, 3)), draw(distances)
+            path = [p]
+            for _ in range(s + d):
+                path.append(tuple(x + c for x, c in zip(a.apply(path[-1]), x0)))
+            c = draw(st.integers(1, m - 1))
+            entries += [(path[s], c), (path[s + d], -c * u ** d)]
+    if entries and draw(st.integers(0, 3)) == 0:
+        entries.append((draw(st.sampled_from(entries))[0], draw(st.integers(1, m - 1))))
+    return phi, FiniteSupportFunction(m, entries), window
+
+
+@settings(max_examples=100, deadline=None)
+@given(open_orbit_supports())
+def test_open_orbit_early_stop_matches_the_full_window_walk(case):
+    # the walk stops once every remaining support point is on the line; the
+    # full-window walk and the walk referee see the same groups
+    phi, v, window = case
+    zero = FiniteSupportFunction(phi.m)
+    answer = are_twisted_conjugate_sigma(phi, v, zero, window)
+    assert answer == stepwise_twisted_conjugate_sigma(phi, v, zero, window)
+    assert answer[0] == walk_twisted_conjugate_sigma(phi, v, window)
 
 
 def test_sigma_rejects_inner_twists():
@@ -585,6 +638,57 @@ def test_full_conjugacy_degenerate_quotient_bfs():
     )
     ans = are_twisted_conjugate_full(phi, d0, far, budget=50)
     assert ans.status == "unknown"
+
+
+DEGENERATE = (
+    IntMatrix([[1]]), I2, SHEAR, IntMatrix([[1, 2], [0, 1]]), ONE_MINUS_ONE,
+    IntMatrix([[0, 1], [1, 0]]),
+)
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """(phi, g, h) with det(I - A) = 0: h is g moved by a short generator word,
+    sometimes with a value added, or an unrelated element."""
+    a = draw(st.sampled_from(DEGENERATE))
+    k = a.k
+    m = draw(st.sampled_from([2, 3, 5]))
+    rng = draw(st.randoms(use_true_random=False))
+    phi = WreathAutomorphism(a, m, rng.choice(units(m)),
+                             tuple(rng.randrange(-2, 3) for _ in range(k)))
+    if draw(st.booleans()):
+        phi = phi.twist(random_element(rng, m, k, 2, 2))
+    g = random_element(rng, m, k, 2, 2)
+    kind = draw(st.sampled_from(["word", "word+value", "random"]))
+    if kind == "random":
+        return phi, g, random_element(rng, m, k, 2, 2)
+    w = WreathElement.identity(m, k)
+    for _ in range(rng.randrange(1, 4)):
+        w = rng.choice(_bfs_generators(m, k)) * w
+    h = twisted_transform(phi, g, w)
+    if kind == "word+value":
+        h = WreathElement(h.f + FiniteSupportFunction.delta(m, (0,) * k, rng.randrange(1, m)), h.t)
+    return phi, g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_pairs(), st.sampled_from([1, 5, 50, 300]))
+def test_search_matches_the_element_referee(pair, budget):
+    phi, g, h = pair
+    answer = are_twisted_conjugate_full(phi, g, h, budget)
+    assert answer == element_twisted_conjugate_full(phi, g, h, budget)
+    if answer.status == YES:
+        # a yes at one budget is a yes at every larger one: bisect for the first
+        lo, hi = 1, budget
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if are_twisted_conjugate_full(phi, g, h, mid).status == YES:
+                hi = mid
+            else:
+                lo = mid + 1
+        for b in {max(lo - 1, 1), lo}:
+            assert are_twisted_conjugate_full(phi, g, h, b) == (
+                element_twisted_conjugate_full(phi, g, h, b))
 
 
 # ---------------------------------------------------------------------------
