@@ -22,6 +22,7 @@ from .finite_oracle import (
     DEFAULT_ELEMENT_BUDGET,
     BudgetExceededError,
     FiniteAutomorphism,
+    fibre_class_count,
     induce_automorphism,
     oracle_report,
     twisted_classes_bruteforce,
@@ -291,6 +292,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # each comparison is either made, with a boolean "result", or "skipped"
     # with the reason
     comparisons: dict[str, dict] = {"tbft": {"result": report["tbft"]}}
+    # Burnside over positions against union-find over elements
+    report["structured_classes"] = fibre_class_count(group, aut)
+    comparisons["structured"] = {
+        "result": report["structured_classes"] == report["twisted_classes"]
+    }
 
     if verdict.finite:
         # the quotient count reproduces R(phi) exactly when n is a multiple
@@ -314,8 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             t = tuple(rng.randrange(group.n) for _ in range(group.k))
             g_fin = (f, t)
             twisted = aut.twist(group.inverse(g_fin))
-            count_twisted, _ = twisted_classes_bruteforce(group, twisted)
-            transports.append(count_twisted == report["twisted_classes"])
+            transports.append(fibre_class_count(group, twisted) == report["twisted_classes"])
         report["transport_counts_equal"] = all(transports)
         comparisons["transport"] = {
             "result": all(transports),
@@ -334,6 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"group: Z_{group.m} wr (Z/{group.n})^{group.k}  (order {group.size})")
         print(f"twisted classes: {report['twisted_classes']}")
         print(f"fixed irreps:    {report['fixed_irreps']}")
+        print(f"orbit count:     {report['structured_classes']}")
         lib = "finite R = " + str(verdict.value) if verdict.finite else "infinite"
         print(f"library verdict: {lib} ({verdict.rule})")
         print("comparisons:")
@@ -418,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common, spec_args, quotient_args],
                        help="cross-check the verdict on a finite quotient")
     p.add_argument("--transport-checks", type=int, default=0,
-                   help="also verify class-count invariance under N random inner twists")
+                   help="also compare the orbit class count of N random inner twists "
+                        "with the class count")
     p.add_argument("--seed", type=int, default=0, help="seed of the transport checks")
     p.set_defaults(func=cmd_verify)
 

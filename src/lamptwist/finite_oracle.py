@@ -5,7 +5,9 @@ order m^(n^k) * n^k on which everything can be checked by force: twisted
 class counts via union-find, irreducible representations via the
 little-group construction for an abelian base acted on by the abelian
 translation group, and the equality of the two counts (the twisted
-Burnside-Frobenius identity for finite groups).
+Burnside-Frobenius identity for finite groups).  A third, independent
+count, ``fibre_class_count``, reads the class number off the orbits of
+positions under Burnside's lemma, without enumerating the group.
 
 All counting is exact; groups above the element budget raise instead of
 sampling.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .lattice import IntMatrix, Vector, as_vector
@@ -138,12 +141,6 @@ class FiniteWreathGroup:
         for i in reversed(range(len(digits))):
             fi, digits[i] = divmod(fi, self.m)
         return tuple(digits)
-
-    def _f_code(self, f: tuple[int, ...]) -> int:
-        fi = 0
-        for d in f:
-            fi = fi * self.m + d
-        return fi
 
     @cached_property
     def _character_orbits(self) -> tuple[list[int], dict[int, tuple[Vector, ...]]]:
@@ -365,9 +362,10 @@ def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> in
     character eta pulled back through the transposed quotient matrix.
     Inner parts are ignored because conjugate representations are
     equivalent.  A label is fixed when the base orbit is the same and the
-    two etas agree on the stabilizer.
+    two etas agree on the stabilizer.  Labels are not built: the count
+    runs over the orbit codes of ``group._character_orbits``, and the
+    number of fixed etas is worked out once per stabilizer.
     """
-    labels = irreps_little_group(group)
     least, stabilizers = group._character_orbits
     dest = [0] * len(aut.sigma)
     for i, j in enumerate(aut.sigma):
@@ -375,16 +373,114 @@ def phi_hat_fixed_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> in
     pulled_chi = _digit_table(group.m, dest, unit=aut.u)
     transpose = aut.matrix.transpose()
     n = group.n
+    fixed_etas: dict[tuple[Vector, ...], int] = {}
     fixed = 0
-    for label in labels:
-        ci = group._f_code(label.chi)
+    for ci, stab in stabilizers.items():
         if least[pulled_chi[ci]] != ci:
             continue
-        stab = stabilizers[ci]
-        pulled_eta = tuple(c % n for c in transpose.apply(label.eta))
-        if _eta_key(group, stab, pulled_eta) == _eta_key(group, stab, label.eta):
-            fixed += 1
+        count = fixed_etas.get(stab)
+        if count is None:
+            count = fixed_etas[stab] = sum(
+                _eta_key(group, stab, tuple(c % n for c in transpose.apply(eta)))
+                == _eta_key(group, stab, eta)
+                for eta in _stabilizer_characters(group, stab)
+            )
+        fixed += count
     return fixed
+
+
+def fibre_class_count(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
+    """Exact twisted-class count, read off position orbits.
+
+    Neither the group nor its base is enumerated, and no Smith form is
+    taken.  A move by (a, s) shifts translations by (I - A)s, so the
+    classes over the translations in one class of T / (I - A)T are the
+    orbits of B x ker(I - A) on the fibre {(f, t)} over one representative
+    t, where (a, s) sends f to a + tr_s(f) - P_t(a) - c.  Here P_t = tr_t o L,
+    L is the monomial base part of aut (inner twist included), and
+    c = tr_t(base part of aut((0, s))).  By Burnside's lemma the fibre
+    holds (1/|ker|) * sum_s |coker M_s| classes, the sum over those s for
+    which c lies in the image of M_s(f, a) = (tr_s - 1)f + (1 - P_t)a.
+
+    As s is fixed by A, tr_s commutes with P_t, so M_s splits over the
+    orbits O of <P_t, tr_s> on the positions.  P_t permutes O's tr_s-cycles
+    in one cycle of some length l, so the cokernel on O is Z_m / (1 - u^l),
+    and c lies in the image when sum_y c_y * u^(-j(y)) = 0 in it, j(y)
+    being the number of P_t steps from O's first tr_s-cycle to y's.  For a
+    consistent automorphism c = (1 - tr_s)(tr_t c0), with c0 the base part
+    of the inner element, so the test only fails on automorphism data that
+    do not fit together.  The work is O(|ker|^2 * n^k).
+    """
+    m, n, u = group.m, group.n, aut.u
+    positions, index = group.positions, group.pos_index
+    npk = len(positions)
+    u_inv = pow(u, -1, m)
+    images = aut.t_images
+    kernel = [s for s in positions if images[s] == s]
+
+    def plus(x: Vector, y: Vector) -> Vector:
+        return tuple((a + b) % n for a, b in zip(x, y))
+
+    image = {tuple((a - b) % n for a, b in zip(t, images[t])) for t in positions}
+    covered = [False] * npk
+    reps = []
+    for ti, t in enumerate(positions):
+        if not covered[ti]:
+            reps.append(t)
+            for v in image:
+                covered[index[plus(t, v)]] = True
+
+    zero_f = (0,) * npk
+    # per s: the tr_s-cycle of each position, the number of cycles, and the
+    # base part of aut((0, s))
+    fibres = []
+    for s in kernel:
+        step = group._perm(s)
+        cycle = [-1] * npk
+        count = 0
+        for i in range(npk):
+            if cycle[i] < 0:
+                j = i
+                while cycle[j] < 0:
+                    cycle[j] = count
+                    j = step[j]
+                count += 1
+        fibres.append((cycle, count, aut.apply((zero_f, s))[0]))
+
+    w = aut.inner[1] if aut.inner is not None else (0,) * group.k
+    total = 0
+    for t in reps:
+        shift = group._perm(tuple(-c % n for c in plus(t, w)))  # x -> x + t + w
+        p = [shift[j] for j in aut.sigma]  # the position permutation of P_t
+        for cycle, count, d in fibres:
+            c = group.translate_f(d, t)
+            succ = [0] * count
+            sums = [0] * count
+            for i in range(npk):
+                o = cycle[i]
+                succ[o] = cycle[p[i]]
+                sums[o] += c[i]
+            seen = [False] * count
+            size = 1
+            for first in range(count):
+                if seen[first]:
+                    continue
+                o, length, acc, weight = first, 0, 0, 1
+                while not seen[o]:
+                    seen[o] = True
+                    acc += sums[o] * weight
+                    weight = weight * u_inv % m
+                    length += 1
+                    o = succ[o]
+                g = gcd(m, 1 - pow(u, length, m))
+                if acc % g:
+                    size = 0
+                    break
+                size *= g
+            total += size
+    classes, rest = divmod(total, len(kernel))
+    assert rest == 0, "Burnside sum not divisible by the stabilizer order"
+    return classes
 
 
 def oracle_report(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> dict:

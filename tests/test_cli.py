@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lamptwist
-from lamptwist import cli, reidemeister
+from lamptwist import cli, finite_oracle, reidemeister
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -19,7 +19,7 @@ from lamptwist.cli import (
     spec_from_json,
     spec_to_json,
 )
-from lamptwist.finite_oracle import DEFAULT_ELEMENT_BUDGET
+from lamptwist.finite_oracle import DEFAULT_ELEMENT_BUDGET, FiniteAutomorphism
 from lamptwist.lattice import IntMatrix
 from lamptwist.reidemeister import DEFAULT_SEARCH_BUDGET, ORDER_THREE_BLOCK
 from lamptwist.wreath import (
@@ -288,14 +288,15 @@ def test_verify_with_transport_checks(capsys):
     "argv, comparisons",
     [
         (["--m", "3", "--u", "2", "--matrix", "0,1;-1,-1", "3"],
-         {"tbft": {"result": True}, "count_vs_R": {"result": True},
+         {"tbft": {"result": True}, "structured": {"result": True},
+          "count_vs_R": {"result": True},
           "transport": {"skipped": "no transport checks were requested"}}),
         (["--m", "3", "--u", "2", "--matrix", "0,1;-1,-1", "2"],
-         {"tbft": {"result": True},
+         {"tbft": {"result": True}, "structured": {"result": True},
           "count_vs_R": {"skipped": "n=2 is not a multiple of the exponent 3"},
           "transport": {"skipped": "no transport checks were requested"}}),
         (["--m", "2", "--matrix", "-1", "3", "--transport-checks", "2"],
-         {"tbft": {"result": True},
+         {"tbft": {"result": True}, "structured": {"result": True},
           "count_vs_R": {"skipped": "the library verdict is infinite"},
           "transport": {"result": True, "equal": "2/2"}}),
     ],
@@ -310,15 +311,67 @@ def test_verify_reports_the_comparisons_it_made(argv, comparisons, capsys):
 
 
 def test_verify_mismatch_names_the_failed_comparison(monkeypatch, capsys):
-    real = cli.twisted_classes_bruteforce
-    monkeypatch.setattr(cli, "twisted_classes_bruteforce",
-                        lambda group, aut: (real(group, aut)[0] + 1, []))
+    real = cli.fibre_class_count
+    monkeypatch.setattr(cli, "fibre_class_count", lambda group, aut: real(group, aut) + 1)
     argv = ["verify", "--m", "5", "--u", "2", "--matrix", "-1", "2", "--transport-checks", "1"]
     assert main([*argv, "--json"]) == EXIT_MISMATCH
     report = json.loads(capsys.readouterr().out)
     assert report["comparisons"]["transport"] == {"result": False, "equal": "0/1"}
+    assert report["comparisons"]["structured"] == {"result": False}
     assert report["comparisons"]["count_vs_R"] == {"result": True}
+    assert report["comparisons"]["tbft"] == {"result": True}
     assert report["transport_counts_equal"] is False and report["match"] is False
+
+
+def test_verify_wrong_bruteforce_count_fails_the_structured_comparison(monkeypatch, capsys):
+    real = finite_oracle.twisted_classes_bruteforce
+    monkeypatch.setattr(finite_oracle, "twisted_classes_bruteforce",
+                        lambda group, aut: (real(group, aut)[0] + 1, []))
+    argv = ["verify", "--m", "5", "--u", "2", "--matrix", "-1", "2"]
+    assert main([*argv, "--json"]) == EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
+    assert report["twisted_classes"] == 3 and report["structured_classes"] == 2
+    assert report["comparisons"]["structured"] == {"result": False}
+    assert report["match"] is False
+
+
+def test_verify_transport_catches_a_one_sided_inner_twist(monkeypatch, capsys):
+    # an inner part applied as gamma * x instead of gamma * x * gamma^-1 is
+    # no automorphism; the orbit count of each twist reads it through the
+    # base part of aut((0, s)), while phi itself has no inner part
+    real = FiniteAutomorphism.apply
+
+    def one_sided(self, x):
+        inner, self.inner = self.inner, None
+        try:
+            out = real(self, x)
+        finally:
+            self.inner = inner
+        return out if inner is None else self.group.multiply(inner, out)
+
+    monkeypatch.setattr(FiniteAutomorphism, "apply", one_sided)
+    argv = ["verify", "--m", "2", "--matrix", "-1", "4", "--transport-checks", "3", "--json"]
+    assert main(argv) == EXIT_MISMATCH
+    comparisons = json.loads(capsys.readouterr().out)["comparisons"]
+    assert comparisons["structured"] == comparisons["tbft"] == {"result": True}
+    assert comparisons["transport"] == {"result": False, "equal": "0/3"}
+
+
+def test_verify_runs_bruteforce_once(monkeypatch, capsys):
+    calls = []
+    real = finite_oracle.twisted_classes_bruteforce
+
+    def counting(group, aut):
+        calls.append(aut)
+        return real(group, aut)
+
+    monkeypatch.setattr(finite_oracle, "twisted_classes_bruteforce", counting)
+    monkeypatch.setattr(cli, "twisted_classes_bruteforce", counting)
+    argv = ["verify", "--m", "5", "--u", "2", "--matrix", "-1", "6", "--transport-checks", "4"]
+    assert main([*argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["comparisons"]["transport"] == {
+        "result": True, "equal": "4/4"}
+    assert len(calls) == 1
 
 
 def test_verify_budget_exceeded(casep3_file, capsys):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from lamptwist import finite_oracle
 from lamptwist.finite_oracle import (
     BudgetExceededError,
     FiniteWreathGroup,
+    fibre_class_count,
     induce_automorphism,
     irreps_little_group,
     oracle_report,
@@ -244,6 +246,73 @@ def test_class_projection_lands_in_one_class():
         conj = group.project(h)
         direct = group.multiply(group.multiply(conj, a), group.inverse(aut.apply(conj)))
         assert direct == b
+
+
+# ---------------------------------------------------------------------------
+# orbit count
+
+FIBRE_MATRICES = {
+    1: ORACLE_MATRICES[1],
+    2: ORACLE_MATRICES[2] + [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -1]])],
+}
+
+
+@st.composite
+def composite_quotients(draw):
+    m = draw(st.integers(2, 12))
+    k = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([n for n in range(1, 12) if m ** (n ** k) * n ** k <= 20_000]))
+    coord = st.integers(-3, 3)
+    phi = WreathAutomorphism(
+        draw(st.sampled_from(FIBRE_MATRICES[k])),
+        m,
+        draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1])),
+        draw(st.tuples(*[coord] * k)),
+    )
+    aut = induce_automorphism(phi, n, budget=20_000)
+    if draw(st.booleans()):
+        group = aut.group
+        f = draw(st.tuples(*[st.integers(0, m - 1)] * len(group.positions)))
+        t = draw(st.tuples(*[st.integers(0, n - 1)] * k))
+        aut = aut.twist((f, t))
+    return aut
+
+
+@settings(max_examples=150, deadline=None)
+@given(composite_quotients())
+def test_orbit_count_matches_bruteforce_and_fixed_irreps(aut):
+    group = aut.group
+    count, _ = twisted_classes_bruteforce(group, aut)
+    assert fibre_class_count(group, aut) == count == phi_hat_fixed_count(group, aut)
+
+
+@pytest.mark.parametrize(
+    "matrix, m, u, n, classes",
+    [
+        ([[-1]], 5, 2, 6, 2),
+        ([[-1]], 2, 1, 10, 56),
+        ([[1, 1], [0, 1]], 2, 1, 3, 24),
+        ([[2, 1], [1, 1]], 3, 1, 3, 27),
+    ],
+)
+def test_orbit_count_pinned(matrix, m, u, n, classes):
+    phi = WreathAutomorphism(IntMatrix(matrix), m, u, (0,) * len(matrix))
+    aut = induce_automorphism(phi, n)
+    assert twisted_classes_bruteforce(aut.group, aut)[0] == classes
+    assert fibre_class_count(aut.group, aut) == classes
+
+
+def test_orbit_count_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit count enumerated the group")
+
+    monkeypatch.setattr(FiniteWreathGroup, "elements", refuse)
+    monkeypatch.setattr(FiniteWreathGroup, "decode", refuse)
+    monkeypatch.setattr(finite_oracle, "twisted_classes_bruteforce", refuse)
+    gamma = WreathElement(FiniteSupportFunction(5, [((1,), 3), ((4,), 1)]), (2,))
+    phi = WreathAutomorphism(IntMatrix([[-1]]), 5, 2, (0,)).twist(gamma)
+    aut = induce_automorphism(phi, 6)  # Z_5 wr Z/6: 93,750 elements
+    assert fibre_class_count(aut.group, aut) == 2
 
 
 # ---------------------------------------------------------------------------

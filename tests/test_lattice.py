@@ -42,7 +42,6 @@ from helpers import (
     random_finite_order_unimodular,
     random_unimodular,
     torsion_order_bound,
-    walk_matrix_order,
     walk_period,
     walk_realized_periods,
 )
