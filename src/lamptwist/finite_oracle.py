@@ -211,16 +211,14 @@ class FiniteAutomorphism:
         self.u = u % group.m
         self.x0 = as_vector(x0)
         n = group.n
-        self.sigma = tuple(
-            group.pos_index[
-                tuple((c + o) % n for c, o in zip(matrix.apply(pos), self.x0))
-            ]
-            for pos in group.positions
-        )
         self.t_images = {
-            t: tuple(c % n for c in matrix.apply(t))
-            for t in product(range(n), repeat=group.k)
+            t: tuple(c % n for c in matrix.apply(t)) for t in group.positions
         }
+        # (A p mod n + x0) mod n = (A p + x0) mod n
+        self.sigma = tuple(
+            group.pos_index[tuple((c + o) % n for c, o in zip(self.t_images[p], self.x0))]
+            for p in group.positions
+        )
         self.inner = inner
         self.inner_inv = group.inverse(inner) if inner is not None else None
 

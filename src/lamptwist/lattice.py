@@ -114,12 +114,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_size(other)
-        return IntMatrix(
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_size(other)
         return IntMatrix(
@@ -570,20 +564,10 @@ def _lift_split(a: IntMatrix) -> _CyclotomicSplit:
 def matrix_order(a: IntMatrix) -> Optional[int]:
     """Smallest r >= 1 with A^r = identity, or None for infinite order.
 
-    If A^r = I, every eigenvalue is a root of unity, so chi_A is a product
-    of cyclotomic polynomials Phi_n, and each of them divides the minimal
-    polynomial, which divides x^r - 1: so every n divides r.  Hence a
-    cofactor g != 1 means infinite order, and otherwise the only candidate
-    is L = lcm(n_i), confirmed by one fast power (a non-semisimple A such
-    as the shear fails it).
+    A view of ``realized_periods``, whose docstring proves that the order
+    read off the basis-vector periods is exact; no matrix power is formed.
     """
-    split = _cyclotomic_split(a)
-    if abs(split.cofactor[0]) != 1:  # |chi_A(0)| = |det A| and Phi_n(0) = +-1
-        raise ValueError("matrix_order requires a unimodular matrix")
-    if len(split.cofactor) > 1:
-        return None
-    order = math.lcm(*split.indices)
-    return order if a ** order == IntMatrix.identity(a.k) else None
+    return realized_periods(a).order
 
 
 def _orbit_coords(rows: tuple[Vector, ...], x: Vector,
@@ -681,7 +665,19 @@ class OrbitReport:
 
 
 def realized_periods(a: IntMatrix) -> OrbitReport:
-    """Exact periods attained by lattice points under A.
+    """Exact periods attained by lattice points under A, and the order of A.
+
+    Let Phi_(n_1) .. Phi_(n_s) be the distinct cyclotomic factors of chi_A
+    and C their product.  A has finite order exactly when every basis
+    vector is periodic, that is when C(A) e_i = 0 for every i (see
+    ``_orbit_coords``), and the order is then L = lcm(n_i).  If
+    C(A) = 0, the minimal polynomial divides the squarefree C, which divides
+    x^L - 1, so A^L = I; and each Phi_(n_i) divides chi_A, hence the minimal
+    polynomial, hence x^r - 1 for any r with A^r = I, so L divides r.
+    Conversely, if A^r = I, the minimal polynomial divides x^r - 1 and
+    chi_A, so it divides C and C(A) = 0.  A non-cyclotomic cofactor of
+    chi_A leaves some basis vector non-periodic, so no separate test of it
+    is needed.
 
     For finite order, Q^k is the direct sum of the ker Phi_(n_i)(A), and a
     point has period lcm{n_i : its i-th component is nonzero}; every
@@ -691,13 +687,14 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
     periods of standard basis vectors are collected and the order is
     reported as None.
     """
-    order = matrix_order(a)
     split = _cyclotomic_split(a)
+    if abs(split.cofactor[0]) != 1:  # |chi_A(0)| = |det A| and Phi_n(0) = +-1
+        raise ValueError("matrix_order requires a unimodular matrix")
     k = a.k
     coords = [_orbit_coords(a.rows, unit_vector(k, i), split) for i in range(k)]
     basis = tuple(None if c is None else _period(split, c) for c in coords)
     realized: dict[int, Vector] = {1: zero_vector(k)}
-    if order is None:
+    if None in basis:
         for i, per in enumerate(basis):
             if per is not None and per not in realized:
                 realized[per] = unit_vector(k, i)
@@ -707,7 +704,7 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
         w = next(w for w in (_evaluate(p, c) for c in coords) if any(w))
         for r, v in list(realized.items()):
             realized.setdefault(math.lcm(r, n), vec_add(v, w))
-    return OrbitReport(order, tuple(sorted(realized.items())), basis)
+    return OrbitReport(math.lcm(*split.indices), tuple(sorted(realized.items())), basis)
 
 
 # ---------------------------------------------------------------------------

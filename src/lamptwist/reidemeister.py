@@ -27,7 +27,7 @@ from .lattice import (
     affine_period,
     coset_representatives,
     det,
-    point_period,
+    orbit_period,
     realized_periods,
     solve,
     unit_vector,
@@ -97,17 +97,6 @@ class ReidemeisterVerdict:
         out["certificate"] = {"rule": self.rule, "witness": dict(self.witness)}
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ReidemeisterVerdict":
-        finite = obj["verdict"] == "finite"
-        cert = obj.get("certificate", {})
-        return cls(
-            finite=finite,
-            value=obj.get("value") if finite else None,
-            rule=cert.get("rule", ""),
-            witness=dict(cert.get("witness", {})),
-        )
-
 
 def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
     """Verdict of the stage d = det(I - A) != 0: is 1 - phi' onto the base?
@@ -128,7 +117,7 @@ def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
         idx = report.basis_periods.index(None)
         witness = {"basis_vector": list(unit_vector(a.k, idx))}
         return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness, report)
-    m, t = phi.m, point_period(a, phi.effective_x0)
+    m, t = phi.m, orbit_period(a, phi.effective_x0)
     for s in sorted(report.periods):
         r = math.lcm(s, t)
         gap = math.gcd((1 - pow(phi.u, r, m)) % m, m)  # 1 iff 1 - u^r is a unit mod m

@@ -26,7 +26,10 @@ from lamptwist.wreath import (
     FiniteSupportFunction,
     WreathAutomorphism,
     WreathElement,
+    element_from_json,
     format_element,
+    parse_element,
+    twisted_transform,
 )
 
 CASEP3_SPEC = {
@@ -255,6 +258,76 @@ def test_twisted_eq_support_far_apart_on_one_orbit(tmp_path, capsys):
     h = WreathElement(FiniteSupportFunction(2, [(q, 1) for q in points]), (0, 0))
     assert main(["twisted-eq", str(path), "f=[] t=(0,0)", format_element(h)]) == EXIT_OK
     assert "answer: no" in capsys.readouterr().out
+
+
+def test_twisted_eq_search_exhausts_the_class(capsys):
+    # A = 1 is the identity: the twisted class of 1 is the conjugacy class {1}
+    argv = ["twisted-eq", "--m", "2", "--u", "1", "--matrix", "1",
+            "f=[] t=(0)", "f=[(0):1] t=(0)", "--json"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "no",
+        "reason": "twisted class exhausted without reaching target",
+    }
+
+
+def test_twisted_eq_json_witness_checks_out(capsys):
+    g, h = "f=[] t=(0,0)", "f=[(1,0):1; (2,1):1] t=(0,0)"
+    argv = ["twisted-eq", "--m", "2", "--u", "1", "--matrix", "2,1;1,1", g, h, "--json"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "yes"
+    w = element_from_json(report["witness"], 2)
+    phi = WreathAutomorphism(IntMatrix([[2, 1], [1, 1]]), 2, 1, (0, 0))
+    assert twisted_transform(phi, parse_element(g, 2), w) == parse_element(h, 2)
+
+
+def test_group_status_text_prints_the_witness(capsys):
+    assert main(["group-status", "5", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("Z_5 wr Z^2: not-r-infinity\nwitness automorphism (R = 4):\n")
+    assert spec_from_json(json.loads(out.split(":\n", 1)[1])).matrix == -IntMatrix.identity(2)
+    assert main(["group-status", "1", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: modulus m must be >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([CASEP3_SPEC], "spec must be a JSON object"),
+        ({key: v for key, v in CASEP3_SPEC.items() if key != "u"}, "bad spec field: 'u'"),
+        (None, "cannot read spec file"),
+    ],
+)
+def test_spec_file_errors(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_missing_spec_and_wrong_element_rank(capsys):
+    assert main(["classify"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+    argv = ["twisted-eq", "--m", "3", "--matrix", "1,1;0,1", "f=[] t=(0)", "f=[] t=(0,0)"]
+    assert main(argv) == EXIT_INPUT
+    assert "element rank does not match the spec" in capsys.readouterr().err
+
+
+def test_orbits_and_oracle_classes_text(capsys):
+    assert main(["orbits", "--m", "3", "--matrix", "1,1;0,1"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "matrix order: infinite\n"
+        "basis periods: [1, None]\n"
+        "  realized period 1: witness (0, 0)\n"
+    )
+    assert main(["oracle-classes", "--m", "5", "--u", "2", "--matrix=-1", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "group order 50, twisted classes: 2\n"
+        "  f=[0, 0] t=[0]\n"
+        "  f=[0, 0] t=[1]\n"
+    )
 
 
 def test_orbits(casep3_file, capsys):

@@ -36,6 +36,8 @@ from lamptwist.lattice import (
     vec_add,
     vec_sub,
 )
+from lamptwist.reidemeister import reidemeister_number
+from lamptwist.wreath import WreathAutomorphism
 
 from helpers import (
     lift,
@@ -389,6 +391,31 @@ def test_matrix_order_at_rank_16_needs_few_products(monkeypatch):
         assert matrix_order.__wrapped__(a) is None
         assert len(calls) < limit
     assert matrix_order.cache_info().maxsize is not None
+
+
+def test_orbit_analysis_forms_no_matrix_product(monkeypatch):
+    rng = random.Random(10)
+    p = random_unimodular(rng, 16, 24)
+    finite = [companion(_cyclotomic(n)) for n in (3, 4, 5, 6, 12)]  # degrees 2+2+4+2+4
+    mats = [
+        p * IntMatrix.block_diagonal(*finite, IntMatrix([[-1]]), IntMatrix([[-1]])) * p.inverse(),
+        IntMatrix.block_diagonal(finite[0], SHEAR, IntMatrix([[-1]])),
+        CAT,
+    ]
+    refs = [walk_realized_periods(a) for a in mats]
+    assert [ref.order for ref in refs] == [60, None, None]
+
+    def forbidden(self, other):
+        raise AssertionError("the orbit analysis formed a matrix product")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", forbidden)
+    monkeypatch.setattr(IntMatrix, "__pow__", forbidden)
+    for a, ref in zip(mats, refs):
+        report = realized_periods(a)
+        assert matrix_order.__wrapped__(a) == ref.order == report.order
+        assert report.basis_periods == ref.basis_periods
+        assert report.periods == ref.periods
+        reidemeister_number(WreathAutomorphism(a, 5, 2, (0,) * a.k))
 
 
 def test_point_period_examples():

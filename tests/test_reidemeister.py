@@ -21,7 +21,6 @@ from lamptwist.reidemeister import (
     RULE_NON_EPI,
     STATUS_UNKNOWN,
     YES,
-    ReidemeisterVerdict,
     _bfs_generators,
     are_twisted_conjugate_full,
     are_twisted_conjugate_sigma,
@@ -295,16 +294,6 @@ def test_verdict_inner_twist_invariance():
             twisted = reidemeister_number(phi.twist(gamma))
             assert twisted.finite == base.finite
             assert twisted.value == base.value
-
-
-def test_verdict_json_round_trip():
-    for phi in (
-        WreathAutomorphism(M3, 3, 2, (0, 0)),
-        WreathAutomorphism.identity(3, 1),
-        WreathAutomorphism(-I2, 3, 2, (0, 0)),
-    ):
-        verdict = reidemeister_number(phi)
-        assert ReidemeisterVerdict.from_json(verdict.to_json()) == verdict
 
 
 def test_class_representatives():
