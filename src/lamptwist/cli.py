@@ -120,11 +120,12 @@ def spec_from_json(obj: dict) -> WreathAutomorphism:
         raise InputError("x0 must be an array of integers")
     for c in x0:
         _integer(c, "x0 entry")
+    inner_text = obj.get("inner")
+    if inner_text is not None and not isinstance(inner_text, str):
+        raise InputError(f"inner must be an element string or null, got {inner_text!r}")
     try:
         a = IntMatrix(matrix)
-        inner = None
-        if obj.get("inner"):
-            inner = parse_element(obj["inner"], m)
+        inner = parse_element(inner_text, m) if inner_text else None
         return WreathAutomorphism(a, m, u, tuple(x0), inner)
     except TypeError as exc:
         raise InputError(f"bad spec field: {exc}") from exc
@@ -199,7 +200,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         out = verdict.to_json()
         out["orbit_report"] = _orbit_report_json(report)
         out["unit_order"] = d
-        print(json.dumps(out, indent=2))
+        print(json.dumps(out))
         return EXIT_OK
     if verdict.finite:
         print(f"verdict: finite, R = {verdict.value}, rule = {verdict.rule}")
@@ -218,12 +219,9 @@ def cmd_group_status(args: argparse.Namespace) -> int:
     status = r_infinity_status(args.m, args.k)
     witness_spec = spec_to_json(status.example) if status.example else None
     if args.json:
-        print(
-            json.dumps(
-                {"m": args.m, "k": args.k, "status": status.status, "witness_spec": witness_spec},
-                indent=2,
-            )
-        )
+        print(json.dumps(
+            {"m": args.m, "k": args.k, "status": status.status, "witness_spec": witness_spec}
+        ))
         return EXIT_OK
     # the witness's R needs the totient of m, which may hit the primality
     # bound: decide it before the first line is printed
@@ -253,7 +251,7 @@ def cmd_twisted_eq(args: argparse.Namespace) -> int:
             out["witness"] = element_to_json(answer.witness)
         if answer.reason:
             out["reason"] = answer.reason
-        print(json.dumps(out, indent=2))
+        print(json.dumps(out))
         return EXIT_OK
     print(f"answer: {answer.status}")
     if answer.witness is not None:
@@ -267,7 +265,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
     report = realized_periods(phi.matrix)
     if args.json:
-        print(json.dumps(_orbit_report_json(report), indent=2))
+        print(json.dumps(_orbit_report_json(report)))
         return EXIT_OK
     _print_orbit_report(report)
     return EXIT_OK
@@ -334,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report["match"] = match
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         print(f"group: Z_{group.m} wr (Z/{group.n})^{group.k}  (order {group.size})")
         print(f"twisted classes: {report['twisted_classes']}")
@@ -358,16 +356,11 @@ def cmd_oracle_classes(args: argparse.Namespace) -> int:
     group = aut.group
     count, reps = twisted_classes_bruteforce(group, aut)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "group": {"m": group.m, "n": group.n, "k": group.k},
-                    "twisted_classes": count,
-                    "representatives": [{"f": list(f), "t": list(t)} for f, t in reps],
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({
+            "group": {"m": group.m, "n": group.n, "k": group.k},
+            "twisted_classes": count,
+            "representatives": [{"f": list(f), "t": list(t)} for f, t in reps],
+        }))
         return EXIT_OK
     print(f"group order {group.size}, twisted classes: {count}")
     for f, t in reps:

@@ -23,7 +23,7 @@ from .lattice import (
     Vector,
     as_vector,
     det,
-    matrix_order,
+    realized_periods,
     smith_normal_form,
     vec_add,
 )
@@ -152,7 +152,7 @@ def delta_chain_check(
     x1, x2 = as_vector(x1), as_vector(x2)
     a, x0 = phi.matrix, phi.effective_x0
     if t_max is None:
-        order = matrix_order(a)
+        order = realized_periods(a).order
         if order is None:
             raise ValueError("supply t_max explicitly for infinite-order matrices")
         t_max = order * phi.k

@@ -457,6 +457,7 @@ def _poly_divmod(f: Poly, d: Poly) -> tuple[Poly, Poly]:
     return tuple(q), tuple(f[:n])
 
 
+@lru_cache(maxsize=256)
 def _charpoly(a: IntMatrix) -> Poly:
     """det(x I - A) by Faddeev-LeVerrier.
 
@@ -689,7 +690,7 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
     """
     split = _cyclotomic_split(a)
     if abs(split.cofactor[0]) != 1:  # |chi_A(0)| = |det A| and Phi_n(0) = +-1
-        raise ValueError("matrix_order requires a unimodular matrix")
+        raise ValueError("realized_periods requires a unimodular matrix")
     k = a.k
     coords = [_orbit_coords(a.rows, unit_vector(k, i), split) for i in range(k)]
     basis = tuple(None if c is None else _period(split, c) for c in coords)

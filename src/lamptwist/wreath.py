@@ -176,10 +176,10 @@ class WreathAutomorphism:
     inner: Optional[WreathElement] = None
 
     def __post_init__(self):
+        if self.m < 2:  # before u is reduced mod m
+            raise ValueError("modulus must be at least 2")
         object.__setattr__(self, "x0", as_vector(self.x0))
         object.__setattr__(self, "u", self.u % self.m)
-        if self.m < 2:
-            raise ValueError("modulus must be at least 2")
         if math.gcd(self.u, self.m) != 1:
             raise ValueError("u must be a unit mod m")
         if not is_unimodular(self.matrix):

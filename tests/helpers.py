@@ -18,9 +18,13 @@ Four sections hold earlier implementations that now serve as referees:
 * both twisted-conjugacy decisions as they were before their loops moved
   to plain tuples: the base-subgroup walk over the full window and the
   breadth-first search over ``WreathElement`` products, which referee the
-  early stop of the open-orbit walk and the keyed search.
+  early stop of the open-orbit walk and the keyed search;
+* the base-subgroup verdict as it was before it became one unit test at the
+  order of A: it tries every realized period s against the offset's period
+  t, and referees ``classify_sigma``.
 """
 
+import math
 from collections import deque
 from functools import lru_cache
 from itertools import permutations, product
@@ -45,6 +49,7 @@ from lamptwist.lattice import (
     is_unimodular,
     kernel_rank,
     orbit_period,
+    realized_periods,
     smith_normal_form,
     solve,
     unit_vector,
@@ -56,11 +61,16 @@ from lamptwist.reidemeister import (
     DEFAULT_ORBIT_WINDOW,
     DEFAULT_SEARCH_BUDGET,
     NO,
+    RULE_CYLINDER,
+    RULE_INFINITE_ORBIT,
+    RULE_NON_EPI,
     UNKNOWN,
     YES,
     ConjugacyAnswer,
+    ReidemeisterVerdict,
     _bfs_generators,
     _solve_congruence,
+    unit_order,
 )
 from lamptwist.wreath import (
     FiniteSupportFunction,
@@ -608,3 +618,33 @@ def element_twisted_conjugate_full(
                     return ConjugacyAnswer(UNKNOWN, reason="search budget exhausted")
                 queue.append((nxt, conj))
     return ConjugacyAnswer(NO, reason="twisted class exhausted without reaching target")
+
+
+def periodwise_classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
+    """Verdict of the stage d = det(I - A) != 0: is 1 - phi' onto the base?
+
+    If every orbit block of 1 - phi' is onto, the base contributes a single
+    twisted class and the classes are cylinders over the |d| translation
+    classes.  Otherwise the base has infinitely many classes, certified
+    either by a basis vector with unbounded orbit or by a realized period
+    pair (s, t) whose combined length r = lcm(s, t) makes 1 - u^r a
+    non-unit mod m.  Inner twists only shift the effective offset, so they
+    are normalized away before the orbit analysis.
+    """
+    if d == 0:
+        raise ValueError("classify_sigma requires det(I - A) != 0")
+    a = phi.matrix
+    report = realized_periods(a)
+    if report.order is None:
+        idx = report.basis_periods.index(None)
+        witness = {"basis_vector": list(unit_vector(a.k, idx))}
+        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness, report)
+    m, t = phi.m, orbit_period(a, phi.effective_x0)
+    for s in sorted(report.periods):
+        r = math.lcm(s, t)
+        gap = math.gcd((1 - pow(phi.u, r, m)) % m, m)  # 1 iff 1 - u^r is a unit mod m
+        if gap != 1:
+            witness = {"s": s, "t": t, "r": r, "unit_gap": gap}
+            return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness, report)
+    witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
+    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness, report)

@@ -140,6 +140,8 @@ def test_classify_bad_spec_file(tmp_path, capsys):
         dict(CASEP3_SPEC, x0="00"),
         dict(CASEP3_SPEC, version=True),
         dict(CASEP3_SPEC, version=1.0),
+        # the modulus is checked before u is reduced mod m
+        ["--m", "0", "--u", "1", "--matrix", "1"],
     ],
 )
 def test_classify_malformed_input_is_an_input_error(tmp_path, capsys, spec_or_argv):
@@ -297,6 +299,9 @@ def test_group_status_text_prints_the_witness(capsys):
         ([CASEP3_SPEC], "spec must be a JSON object"),
         ({key: v for key, v in CASEP3_SPEC.items() if key != "u"}, "bad spec field: 'u'"),
         (None, "cannot read spec file"),
+        (dict(CASEP3_SPEC, m=0), "modulus must be at least 2"),
+        (dict(CASEP3_SPEC, inner=5), "inner must be an element string or null, got 5"),
+        (dict(CASEP3_SPEC, inner=["x"]), "inner must be an element string or null, got ['x']"),
     ],
 )
 def test_spec_file_errors(tmp_path, capsys, spec, message):
@@ -305,6 +310,22 @@ def test_spec_file_errors(tmp_path, capsys, spec, message):
         path.write_text(json.dumps(spec))
     assert main(["classify", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_json_output_is_one_line(capsys):
+    inline = ["--m", "5", "--u", "2", "--matrix=-1"]
+    for argv in (
+        ["classify", *inline],
+        ["group-status", "7", "2"],
+        ["twisted-eq", *inline, "f=[(0):1] t=(0)", "f=[] t=(1)"],
+        ["orbits", *inline],
+        ["verify", *inline, "2"],
+        ["oracle-classes", *inline, "2"],
+    ):
+        assert main([*argv, "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        json.loads(out)
 
 
 def test_missing_spec_and_wrong_element_rank(capsys):

@@ -217,7 +217,7 @@ def test_matrix_order_examples():
 
 
 def test_matrix_order_rejects_non_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^realized_periods requires a unimodular matrix$"):
         matrix_order(IntMatrix([[2, 0], [0, 1]]))
 
 

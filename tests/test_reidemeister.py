@@ -3,11 +3,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, eye
+from sympy import Matrix, eye, primefactors
 
-from lamptwist import reidemeister
+from lamptwist import lattice, reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
 from lamptwist.lattice import IntMatrix, affine_period, det, orbit_period, solve, unit_vector
 from lamptwist.reidemeister import (
@@ -40,6 +40,7 @@ from lamptwist.wreath import (
 from helpers import (
     element_twisted_conjugate_full,
     lift,
+    periodwise_classify_sigma,
     random_element,
     random_finite_order_unimodular,
     random_function,
@@ -168,9 +169,7 @@ def test_classify_non_epi_witness_periods():
     phi = WreathAutomorphism(-I2, 3, 2, (0, 0))  # 1 - 2^2 = -3 = 0 mod 3
     verdict = sigma_verdict(phi)
     assert verdict.rule == RULE_NON_EPI
-    witness = verdict.witness
-    assert witness["r"] == math.lcm(witness["s"], witness["t"])
-    assert math.gcd((1 - 2 ** witness["r"]) % 3, 3) != 1
+    assert verdict.witness == {"order": 2, "unit_gap": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +214,33 @@ def test_verdict_consistency():
         (WreathAutomorphism(M3, 3, 2, (0, 0)), RULE_CYLINDER),
     ],
 )
-def test_reidemeister_number_computes_det_once(monkeypatch, phi, rule):
-    calls = []
+def test_reidemeister_number_runs_no_elimination(monkeypatch, phi, rule):
+    """det(I - A) is chi_A(1), read off one characteristic polynomial."""
+    assert not hasattr(reidemeister, "det") and not hasattr(reidemeister, "orbit_period")
 
-    def counting(a):
-        calls.append(a)
-        return det(a)
+    def refuse(*args):
+        raise AssertionError("the verdict ran an elimination")
 
-    monkeypatch.setattr(reidemeister, "det", counting)
+    monkeypatch.setattr(lattice, "det", refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    lattice._charpoly.cache_clear()
     assert reidemeister_number(phi).rule == rule
-    assert len(calls) == 1
+    assert lattice._charpoly.cache_info().misses == 1
 
 
 @st.composite
 def small_automorphisms(draw):
-    """k <= 3, m in {2, 3, 5, 7, 9}, any unit, small offset and inner translation."""
-    k = draw(st.integers(1, 3))
-    m = draw(st.sampled_from([2, 3, 5, 7, 9]))
-    make = draw(st.sampled_from([random_unimodular, random_finite_order_unimodular]))
-    a = make(draw(st.randoms(use_true_random=False)), k)
+    """k <= 4, m in {2, 3, 4, 5, 6, 7, 9, 15}, any unit, small offset and inner twist."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9, 15]))
+    # finite order twice as often: only there do cylinder and non-epi-orbit compete
+    finite = random_finite_order_unimodular
+    make = draw(st.sampled_from([finite, random_unimodular, finite]))
+    rng = draw(st.randoms(use_true_random=False))
+    a = make(rng, k)
     small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
     phi = WreathAutomorphism(a, m, draw(st.sampled_from(units(m))), tuple(draw(small)))
-    inner_t = draw(st.none() | small)
-    return phi if inner_t is None else phi.twist(WreathElement.translation(m, tuple(inner_t)))
+    return phi.twist(random_element(rng, m, k)) if draw(st.booleans()) else phi
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,13 +265,10 @@ def test_certificates_recheck_without_the_engine(phi):
             v = a * v
             assert v != e
     elif verdict.rule == RULE_NON_EPI:
-        s, t, r = witness["s"], witness["t"], witness["r"]
-        assert r == math.lcm(s, t)
-        # the origin has period 1; any other realized period needs a fixed vector of A^s
-        assert s == 1 or (a ** s - eye(k)).nullspace()
-        x0_eff = Matrix(phi.x0) + (Matrix(phi.inner.t) if phi.inner else Matrix.zeros(k, 1))
-        assert a ** t * x0_eff == x0_eff
-        assert witness["unit_gap"] == math.gcd((1 - u ** r) % m, m) != 1
+        order = witness["order"]
+        assert a ** order == eye(k)
+        assert all(a ** (order // p) != eye(k) for p in primefactors(order))
+        assert witness["unit_gap"] == math.gcd((1 - u ** order) % m, m) != 1
     else:
         assert verdict.rule == RULE_CYLINDER
         assert verdict.value == abs(d) == abs(witness["det_i_minus_a"])
@@ -276,6 +276,17 @@ def test_certificates_recheck_without_the_engine(phi):
         order = witness["unit_order"]
         assert pow(u, order, m) == 1
         assert all(pow(u, e, m) != 1 for e in range(1, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_automorphisms())
+def test_verdict_matches_the_periodwise_referee(phi):
+    """The test at the order of A agrees with the loop over period pairs (s, t)."""
+    d = det(IntMatrix.identity(phi.k) - phi.matrix)
+    assume(d != 0)  # the det-zero rule needs no orbit analysis
+    verdict = reidemeister_number(phi)
+    ref = periodwise_classify_sigma(phi, d)
+    assert (verdict.finite, verdict.rule, verdict.value) == (ref.finite, ref.rule, ref.value)
 
 
 def test_verdict_inner_twist_invariance():
