@@ -192,9 +192,7 @@ def _print_orbit_report(report: OrbitReport) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
     verdict = reidemeister_number(phi)
-    report = verdict.orbit_report
-    if report is None:  # the det-zero rule decides without an orbit analysis
-        report = realized_periods(phi.matrix)
+    report = realized_periods(phi.matrix)  # cached: a hit unless the rule is det-zero
     d = unit_order(phi.u, phi.m)
     if args.json:
         out = verdict.to_json()
@@ -275,6 +273,8 @@ def _induced_quotient(phi: WreathAutomorphism, args: argparse.Namespace) -> Fini
     """The automorphism phi induces on the quotient mod n, within the element budget."""
     if args.n < 1:
         raise InputError("quotient parameter n must be >= 1")
+    if args.budget < 1:
+        raise InputError("--budget must be >= 1")
     return induce_automorphism(phi, args.n, args.budget)
 
 

@@ -565,8 +565,9 @@ def _lift_split(a: IntMatrix) -> _CyclotomicSplit:
 def matrix_order(a: IntMatrix) -> Optional[int]:
     """Smallest r >= 1 with A^r = identity, or None for infinite order.
 
-    A view of ``realized_periods``, whose docstring proves that the order
-    read off the basis-vector periods is exact; no matrix power is formed.
+    A view of the cached ``realized_periods``, whose docstring proves it
+    exact.  Its own cache stays only for ``perfbench/tracer.py``, which
+    reads ``matrix_order.cache_info()``.
     """
     return realized_periods(a).order
 
@@ -613,12 +614,9 @@ def _period(split: _CyclotomicSplit, coords: list[Vector]) -> int:
 def orbit_period(a: IntMatrix, x: Iterable[int]) -> Optional[int]:
     """Least r >= 1 with A^r x = x, or None when the orbit of x is unbounded.
 
-    A lattice point's orbit is finite exactly when it is bounded.  For an
-    affine map x -> A x + x0, see ``affine_period``.
+    ``affine_period`` at x0 = 0: (x, 1) under [[A, 0], [0, 1]] has x's period.
     """
-    split = _cyclotomic_split(a)
-    coords = _orbit_coords(a.rows, as_vector(x), split)
-    return None if coords is None else _period(split, coords)
+    return affine_period(a, zero_vector(a.k), as_vector(x))
 
 
 def affine_period(a: IntMatrix, x0: Vector, x: Vector) -> Optional[int]:
@@ -665,6 +663,7 @@ class OrbitReport:
         raise KeyError(period)
 
 
+@lru_cache(maxsize=256)
 def realized_periods(a: IntMatrix) -> OrbitReport:
     """Exact periods attained by lattice points under A, and the order of A.
 

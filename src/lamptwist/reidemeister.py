@@ -19,7 +19,6 @@ from typing import Optional
 
 from .lattice import (
     IntMatrix,
-    OrbitReport,
     Vector,
     _charpoly,
     _is_prime,
@@ -77,17 +76,12 @@ def unit_order(u: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class ReidemeisterVerdict:
-    """Finite(value) or Infinite, plus the certificate that produced it.
-
-    ``orbit_report`` is the orbit analysis behind the verdict; it is None
-    on the det-zero rule, which needs none, and is not serialized.
-    """
+    """Finite(value) or Infinite, plus the certificate that produced it."""
 
     finite: bool
     value: Optional[int]
     rule: str
     witness: dict = field(default_factory=dict)
-    orbit_report: Optional[OrbitReport] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": "finite" if self.finite else "infinite"}
@@ -122,14 +116,14 @@ def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
     if order is None:
         idx = report.basis_periods.index(None)
         witness = {"basis_vector": list(unit_vector(a.k, idx))}
-        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness, report)
+        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness)
     m = phi.m
     gap = math.gcd((1 - pow(phi.u, order, m)) % m, m)  # 1 iff 1 - u^L is a unit mod m
     if gap != 1:
         witness = {"order": order, "unit_gap": gap}
-        return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness, report)
+        return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness)
     witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
-    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness, report)
+    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness)
 
 
 def reidemeister_number(phi: WreathAutomorphism) -> ReidemeisterVerdict:
@@ -314,9 +308,10 @@ def are_twisted_conjugate_full(
     det(I - A) != 0 the translation part of any conjugator is forced to the
     unique solution z of (I - A) z = t_h - t_g, which reduces the question
     to one solvable system in the base subgroup: the answer is then an
-    exact Yes (with verified witness) or No.  Only the degenerate case
-    det(I - A) = 0 falls back to a breadth-first search over twisted
-    transforms, which reports Unknown once ``budget`` nodes are expanded.
+    exact Yes (with verified witness) or No.  In the degenerate case
+    det(I - A) = 0, base sums that differ modulo gcd(1 - u, m) are an exact
+    No; otherwise a breadth-first search over twisted transforms decides,
+    and reports Unknown once ``budget`` nodes are expanded.
     """
     if g.m != phi.m or h.m != phi.m or g.k != phi.k or h.k != phi.k:
         raise ValueError("elements from a different group")
@@ -350,6 +345,10 @@ def are_twisted_conjugate_full(
     if g == h:
         return ConjugacyAnswer(YES, witness=WreathElement.identity(phi.m, phi.k))
     m = phi.m
+    # the base sum is a homomorphism onto Z_m that standard phi multiplies
+    # by u, so h = w g phi(w)^-1 gives sum h - sum g = (1 - u) sum w
+    if sum(val for _, val in (h.f - g.f).items()) % math.gcd(1 - phi.u, m):
+        return ConjugacyAnswer(NO, reason="base sums differ modulo gcd(1 - u, m)")
     gens = _bfs_generators(m, phi.k)
     # gen * (cf, ct) * tail = (gf + cf shifted by gt + tf shifted by gt + ct, gt + ct + tt)
     moves = []

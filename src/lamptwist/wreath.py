@@ -257,21 +257,30 @@ def twisted_transform(phi: WreathAutomorphism, g: WreathElement, h: WreathElemen
 # ---------------------------------------------------------------------------
 # text grammar and JSON form
 #
-#   f=[(x1,...,xk):v; ...] t=(t1,...,tk)     with 1 <= v < m, support sorted
+#   f=[(x1,...,xk):v; ...] t=(t1,...,tk)     with 1 <= v < m, distinct positions,
+#                                             support sorted
 
 _ELEMENT_RE = re.compile(r"^f=\[(?P<sup>[^\]]*)\]\s+t=\((?P<t>[^)]*)\)$")
 _ENTRY_RE = re.compile(r"^\((?P<pos>[^)]*)\):(?P<val>\d+)$")
 
 
+def _format_tuple(v: Vector) -> str:
+    return f"({','.join(str(c) for c in v)})"
+
+
 def format_element(g: WreathElement) -> str:
-    if g.f:
-        body = "; ".join(
-            f"({','.join(str(c) for c in pos)}):{val}" for pos, val in g.f.items()
-        )
-        head = f"f=[{body}]"
-    else:
-        head = "f=[]"
-    return f"{head} t=({','.join(str(c) for c in g.t)})"
+    body = "; ".join(f"{_format_tuple(pos)}:{val}" for pos, val in g.f.items())
+    return f"f=[{body}] t={_format_tuple(g.t)}"
+
+
+def _add_entry(entries: dict, pos: Vector, val: int, m: int, k: int) -> None:
+    if not 1 <= val < m:
+        raise ValueError(f"support value {val} out of range 1..{m - 1}")
+    if len(pos) != k:
+        raise ValueError("support dimension differs from translation dimension")
+    if pos in entries:
+        raise ValueError(f"support position {_format_tuple(pos)} appears twice")
+    entries[pos] = val
 
 
 def _parse_int_tuple(text: str) -> Vector:
@@ -287,7 +296,7 @@ def parse_element(text: str, m: int) -> WreathElement:
     if not match:
         raise ValueError(f"malformed element: {text!r}")
     t = _parse_int_tuple(match.group("t"))
-    entries = []
+    entries: dict = {}
     sup = match.group("sup").strip()
     if sup:
         for chunk in sup.split(";"):
@@ -295,12 +304,7 @@ def parse_element(text: str, m: int) -> WreathElement:
             if not entry:
                 raise ValueError(f"malformed support entry: {chunk!r}")
             pos = _parse_int_tuple(entry.group("pos"))
-            val = int(entry.group("val"))
-            if not 1 <= val < m:
-                raise ValueError(f"support value {val} out of range 1..{m - 1}")
-            if len(pos) != len(t):
-                raise ValueError("support dimension differs from translation dimension")
-            entries.append((pos, val))
+            _add_entry(entries, pos, int(entry.group("val")), m, len(t))
     return WreathElement(FiniteSupportFunction(m, entries), t)
 
 
@@ -313,13 +317,7 @@ def element_to_json(g: WreathElement) -> dict:
 
 def element_from_json(obj: dict, m: int) -> WreathElement:
     t = as_vector(obj["translation"])
-    entries = []
+    entries: dict = {}
     for item in obj.get("support", []):
-        pos = as_vector(item["pos"])
-        val = int(item["val"])
-        if not 1 <= val < m:
-            raise ValueError(f"support value {val} out of range 1..{m - 1}")
-        if len(pos) != len(t):
-            raise ValueError("support dimension differs from translation dimension")
-        entries.append((pos, val))
+        _add_entry(entries, as_vector(item["pos"]), int(item["val"]), m, len(t))
     return WreathElement(FiniteSupportFunction(m, entries), t)

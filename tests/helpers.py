@@ -638,13 +638,13 @@ def periodwise_classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVe
     if report.order is None:
         idx = report.basis_periods.index(None)
         witness = {"basis_vector": list(unit_vector(a.k, idx))}
-        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness, report)
+        return ReidemeisterVerdict(False, None, RULE_INFINITE_ORBIT, witness)
     m, t = phi.m, orbit_period(a, phi.effective_x0)
     for s in sorted(report.periods):
         r = math.lcm(s, t)
         gap = math.gcd((1 - pow(phi.u, r, m)) % m, m)  # 1 iff 1 - u^r is a unit mod m
         if gap != 1:
             witness = {"s": s, "t": t, "r": r, "unit_gap": gap}
-            return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness, report)
+            return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness)
     witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
-    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness, report)
+    return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lamptwist
-from lamptwist import cli, finite_oracle, reidemeister
+from lamptwist import cli, finite_oracle
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -20,7 +20,7 @@ from lamptwist.cli import (
     spec_to_json,
 )
 from lamptwist.finite_oracle import DEFAULT_ELEMENT_BUDGET, FiniteAutomorphism
-from lamptwist.lattice import IntMatrix
+from lamptwist.lattice import IntMatrix, realized_periods
 from lamptwist.reidemeister import DEFAULT_SEARCH_BUDGET, ORDER_THREE_BLOCK
 from lamptwist.wreath import (
     FiniteSupportFunction,
@@ -89,22 +89,15 @@ def test_classify_m2_infinite(capsys):
         ("1,0;0,1", 3, 2, "det-zero"),
     ],
 )
-def test_classify_computes_orbit_report_once(monkeypatch, capsys, matrix, m, u, rule):
-    calls = []
-    original = cli.realized_periods
-
-    def counting(a):
-        calls.append(a)
-        return original(a)
-
-    monkeypatch.setattr(cli, "realized_periods", counting)
-    monkeypatch.setattr(reidemeister, "realized_periods", counting)
+def test_classify_computes_orbit_report_once(capsys, matrix, m, u, rule):
+    realized_periods.cache_clear()
     argv = ["classify", "--m", str(m), "--u", str(u), "--matrix", matrix, "--json"]
     assert main(argv) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["certificate"]["rule"] == rule
-    assert len(calls) == 1
-    assert report["orbit_report"] == cli._orbit_report_json(original(calls[0]))
+    assert realized_periods.cache_info().misses == 1
+    a = IntMatrix([[int(x) for x in row.split(",")] for row in matrix.split(";")])
+    assert report["orbit_report"] == cli._orbit_report_json(realized_periods(a))
 
 
 def test_classify_malformed_matrix(capsys):
@@ -269,8 +262,21 @@ def test_twisted_eq_search_exhausts_the_class(capsys):
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
         "status": "no",
+        "reason": "base sums differ modulo gcd(1 - u, m)",
+    }
+    argv[-2] = "f=[(0):1; (1):1] t=(0)"  # base sum 0: the search decides
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "no",
         "reason": "twisted class exhausted without reaching target",
     }
+
+
+def test_twisted_eq_rejects_repeated_support_positions(capsys):
+    argv = ["twisted-eq", "--m", "3", "--u", "2", "--matrix=-1",
+            "f=[(0):1; (0):2] t=(0)", "f=[] t=(0)"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: support position (0) appears twice\n"
 
 
 def test_twisted_eq_json_witness_checks_out(capsys):
@@ -514,12 +520,20 @@ def test_verify_rejects_negative_transport_checks(capsys):
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_twisted_eq_rejects_budget_below_one(budget, capsys):
     argv = ["twisted-eq", "--m", "3", "--u", "1", "--matrix", "1,1;0,1",
-            "f=[] t=(0,0)", "f=[(5,7):1] t=(0,0)", "--budget", budget]
+            "f=[] t=(0,0)", "f=[(5,7):1; (6,7):2] t=(0,0)", "--budget", budget]
     assert main(argv) == EXIT_INPUT
     assert "--budget must be >= 1" in capsys.readouterr().err
     argv[-1] = "1"
     assert main([*argv, "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["status"] == "unknown"
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle-classes"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_quotient_commands_reject_budget_below_one(command, budget, capsys):
+    argv = [command, "--m", "5", "--u", "2", "--matrix=-1", "6", "--budget", budget]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --budget must be >= 1\n"
 
 
 def test_flags_belong_to_the_subcommands_that_read_them():

@@ -385,6 +385,7 @@ def test_matrix_order_at_rank_16_needs_few_products(monkeypatch):
         calls.append(1)
         return real(self, other)
 
+    realized_periods.cache_clear()  # earlier tests may have cached these matrices
     monkeypatch.setattr(IntMatrix, "__mul__", counting)
     for a in mats:
         calls.clear()
@@ -408,6 +409,7 @@ def test_orbit_analysis_forms_no_matrix_product(monkeypatch):
     def forbidden(self, other):
         raise AssertionError("the orbit analysis formed a matrix product")
 
+    realized_periods.cache_clear()  # CAT, for one, is cached by earlier tests
     monkeypatch.setattr(IntMatrix, "__mul__", forbidden)
     monkeypatch.setattr(IntMatrix, "__pow__", forbidden)
     for a, ref in zip(mats, refs):

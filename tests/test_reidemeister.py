@@ -13,6 +13,7 @@ from lamptwist.lattice import IntMatrix, affine_period, det, orbit_period, solve
 from lamptwist.reidemeister import (
     DEFAULT_ORBIT_WINDOW,
     HAS_R_INFINITY,
+    NO,
     NOT_R_INFINITY,
     ORDER_THREE_BLOCK,
     RULE_CYLINDER,
@@ -21,6 +22,7 @@ from lamptwist.reidemeister import (
     RULE_NON_EPI,
     STATUS_UNKNOWN,
     YES,
+    ConjugacyAnswer,
     _bfs_generators,
     are_twisted_conjugate_full,
     are_twisted_conjugate_sigma,
@@ -671,12 +673,32 @@ def degenerate_pairs(draw):
     return phi, g, h
 
 
+SUM_REASON = "base sums differ modulo gcd(1 - u, m)"
+
+
+def base_sums_differ(phi, g, h):
+    """sum h.f - sum g.f is not a multiple of gcd(1 - u, m).
+
+    Transporting an inner twist multiplies g and h by the same element on
+    the right, which adds the same sum to both.
+    """
+    diff = sum(v for _, v in h.f.items()) - sum(v for _, v in g.f.items())
+    return diff % math.gcd(1 - phi.u, phi.m) != 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(degenerate_pairs(), st.sampled_from([1, 5, 50, 300]))
 def test_search_matches_the_element_referee(pair, budget):
     phi, g, h = pair
     answer = are_twisted_conjugate_full(phi, g, h, budget)
-    assert answer == element_twisted_conjugate_full(phi, g, h, budget)
+    referee = element_twisted_conjugate_full(phi, g, h, budget)
+    if referee.reason != "translations lie in different quotient classes" and (
+            base_sums_differ(phi, g, h)):
+        # the sum test answers before the search, which cannot reach h
+        assert answer == ConjugacyAnswer(NO, reason=SUM_REASON)
+        assert referee.status != YES
+        return
+    assert answer == referee
     if answer.status == YES:
         # a yes at one budget is a yes at every larger one: bisect for the first
         lo, hi = 1, budget
@@ -689,6 +711,23 @@ def test_search_matches_the_element_referee(pair, budget):
         for b in {max(lo - 1, 1), lo}:
             assert are_twisted_conjugate_full(phi, g, h, b) == (
                 element_twisted_conjugate_full(phi, g, h, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DEGENERATE), st.sampled_from([2, 3, 4, 5, 6]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_sum_test_never_rejects_a_conjugate_pair(a, m, inner, rng):
+    k = a.k
+    phi = WreathAutomorphism(a, m, rng.choice(units(m)),
+                             tuple(rng.randrange(-2, 3) for _ in range(k)))
+    if inner:
+        phi = phi.twist(random_element(rng, m, k, 2, 2))
+    g = random_element(rng, m, k, 3, 3)
+    w = random_element(rng, m, k, 4, 4)
+    h = twisted_transform(phi, g, w)
+    assert not base_sums_differ(phi, g, h)
+    answer = are_twisted_conjugate_full(phi, g, h, budget=20)
+    assert answer.status != NO and answer.reason != SUM_REASON
 
 
 # ---------------------------------------------------------------------------

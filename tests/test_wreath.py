@@ -283,3 +283,13 @@ def test_grammar_rejects_garbage():
                 "f=[(0,0):1] t=(0)", "t=(0) f=[]"]:
         with pytest.raises(ValueError):
             parse_element(bad, 3)
+
+
+def test_readers_reject_repeated_support_positions():
+    # summing the repeated entries would read 1 + 2 = 0 mod 3: the identity
+    with pytest.raises(ValueError, match=r"^support position \(0\) appears twice$"):
+        parse_element("f=[(0):1; (0):2] t=(0)", 3)
+    obj = {"support": [{"pos": [1, -2], "val": 1}, {"pos": [1, -2], "val": 1}],
+           "translation": [0, 0]}
+    with pytest.raises(ValueError, match=r"^support position \(1,-2\) appears twice$"):
+        element_from_json(obj, 3)
