@@ -249,6 +249,8 @@ def cmd_twisted_eq(args: argparse.Namespace) -> int:
             out["witness"] = element_to_json(answer.witness)
         if answer.reason:
             out["reason"] = answer.reason
+        if answer.bound:
+            out["bound"] = answer.bound
         print(json.dumps(out))
         return EXIT_OK
     print(f"answer: {answer.status}")
@@ -256,6 +258,8 @@ def cmd_twisted_eq(args: argparse.Namespace) -> int:
         print(f"conjugator: {format_element(answer.witness)}")
     if answer.reason:
         print(f"reason: {answer.reason}")
+    if answer.bound:
+        print(f"bound: {answer.bound}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 from operator import mul
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Vector = tuple[int, ...]
 
@@ -630,6 +630,73 @@ def affine_period(a: IntMatrix, x0: Vector, x: Vector) -> Optional[int]:
     rows = tuple(row + (c,) for row, c in zip(a.rows, x0)) + ((0,) * a.k + (1,),)
     coords = _orbit_coords(rows, x + (1,), split)
     return None if coords is None else _period(split, coords)
+
+
+SIEVE_PRIMES = (7, 11, 13)
+SIEVE_CAP = 64
+
+
+@lru_cache(maxsize=256)
+def _packed_columns(a: IntMatrix, prime: int) -> tuple[int, tuple[int, ...]]:
+    """A field width and the columns of A mod prime, one integer each.
+
+    Field i of offset + sum_j y_j col_j is (A y + x0)_i mod prime before
+    reduction, for y and x0 reduced mod prime: it stays below
+    k (prime - 1)^2 + prime < 2^width, so one step of T is one sum.
+    """
+    width = (a.k * (prime - 1) ** 2 + prime).bit_length()
+    shifts = range(0, a.k * width, width)
+    return width, tuple(sum((c % prime) << sh for c, sh in zip(col, shifts))
+                        for col in zip(*a.rows))
+
+
+def _residue_orbit(a: IntMatrix, x0: Vector, x: Vector, prime: int) -> Iterator[Vector]:
+    """x, T x, T^2 x, ... mod prime for T(y) = A y + x0, without end."""
+    width, cols = _packed_columns(a, prime)
+    shifts = range(0, a.k * width, width)
+    offset = sum((c % prime) << sh for c, sh in zip(x0, shifts))
+    mask = (1 << width) - 1
+    y = tuple([c % prime for c in x])
+    while True:
+        yield y
+        packed = sum(map(mul, y, cols), offset)
+        y = tuple([(packed >> sh & mask) % prime for sh in shifts])
+
+
+class OrbitSieve:
+    """Rules points off the orbit of x under T(y) = A y + x0, a step at a time.
+
+    A is unimodular, so T mod a prime permutes (Z/prime)^k and x mod prime
+    lies on a cycle: if y = T^n x for any integer n, then y mod prime is on
+    it.  For each prime of ``SIEVE_PRIMES`` the sieve grows that cycle by
+    one step per ``sift``.  When a cycle closes, the points whose residues
+    it misses are on no T^n x, and ``sift`` drops them; a cycle still open
+    after ``SIEVE_CAP`` steps is given up.  Every point of the orbit is
+    kept, and so may some points off it.  Growing the cycles alongside the
+    orbit walk they serve keeps their cost in step with it: a walk that
+    ends after a few steps pays for a few residue steps, not for
+    3 * ``SIEVE_CAP``.
+    """
+
+    def __init__(self, a: IntMatrix, x0: Vector, x: Vector):
+        self._open = []
+        for prime in SIEVE_PRIMES:
+            orbit = _residue_orbit(a, x0, x, prime)
+            start = next(orbit)
+            self._open.append((prime, orbit, start, {start}))
+
+    def sift(self, points: set[Vector]) -> set[Vector]:
+        """Move every open cycle one step; drop the points a cycle that closed misses."""
+        still_open = []
+        for prime, orbit, start, cycle in self._open:
+            y = next(orbit)
+            if y == start:
+                points = {q for q in points if tuple([c % prime for c in q]) in cycle}
+            elif len(cycle) < SIEVE_CAP:
+                cycle.add(y)
+                still_open.append((prime, orbit, start, cycle))
+        self._open = still_open
+        return points
 
 
 def point_period(a: IntMatrix, x: Iterable[int]) -> int:

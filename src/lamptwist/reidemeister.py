@@ -19,6 +19,7 @@ from typing import Optional
 
 from .lattice import (
     IntMatrix,
+    OrbitSieve,
     Vector,
     _charpoly,
     _is_prime,
@@ -51,6 +52,10 @@ RULE_CYLINDER = "cylinder"
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+
+# the bound a no or unknown depends on
+BOUND_ORBIT_WINDOW = "orbit_window"
+BOUND_SEARCH_BUDGET = "search_budget"
 
 DEFAULT_SEARCH_BUDGET = 100_000
 DEFAULT_ORBIT_WINDOW = 512
@@ -171,12 +176,28 @@ def _solve_congruence(alpha: int, c: int, m: int) -> Optional[int]:
     return (c // g) * pow(alpha // g, -1, mg) % mg if mg > 1 else 0
 
 
+class SigmaAnswer(tuple):
+    """The pair (solvable, witness) of ``are_twisted_conjugate_sigma``.
+
+    ``bound`` is ``BOUND_ORBIT_WINDOW`` on a False answer that holds only up
+    to the orbit window, and None otherwise.
+    """
+
+    bound: Optional[str]
+
+    def __new__(cls, ok: bool, witness: Optional[FiniteSupportFunction] = None,
+                bound: Optional[str] = None) -> "SigmaAnswer":
+        answer = super().__new__(cls, (ok, witness))
+        answer.bound = bound
+        return answer
+
+
 def are_twisted_conjugate_sigma(
     phi: WreathAutomorphism,
     h1: FiniteSupportFunction,
     h2: FiniteSupportFunction,
     orbit_window: int = DEFAULT_ORBIT_WINDOW,
-) -> tuple[bool, Optional[FiniteSupportFunction]]:
+) -> SigmaAnswer:
     """Decide h1 - h2 in image(1 - phi') on the base subgroup, with witness.
 
     The difference is split along orbits of the affine position map
@@ -185,12 +206,17 @@ def are_twisted_conjugate_sigma(
     A is.  A finite orbit of length r gives a cyclic linear system whose
     solvability is governed by gcd(1 - u^r, m); an open orbit gives a
     forward-substitution telescope that must end in zero.  Open orbits are
-    grouped only within ``orbit_window`` steps each way of a support point:
-    support points further apart along one open orbit are treated as lying
-    on separate orbits, so a False answer that met an open orbit is exact
-    only up to that window.  The walk along an open orbit stops early once
-    every support point not yet read lies on it, which changes no answer.
-    Every True answer carries an exactly verified witness.
+    grouped only within ``orbit_window`` steps each way of a support point.
+
+    The walk along an open orbit waits only for the support points that an
+    ``OrbitSieve`` of its start keeps: a point whose residue misses the
+    start's residue cycle mod a small prime is on another orbit.  The walk
+    stops once no unread point is kept, and has then grouped its orbit
+    exactly, at any distance.  Only a walk that reaches the window with
+    kept points unread may split an orbit, so a False answer met after such
+    a walk carries the bound ``BOUND_ORBIT_WINDOW``; every other False is
+    exact.  The sieve changes no answer and no witness.  Every True answer
+    carries an exactly verified witness.
 
     Inner-twisted automorphisms are rejected: reduce them through the
     right-shift transport of classes first.
@@ -202,7 +228,7 @@ def are_twisted_conjugate_sigma(
     m, u, a, x0 = phi.m, phi.u, phi.matrix, phi.x0
     v = h1 - h2
     if not v:
-        return True, FiniteSupportFunction(m)
+        return SigmaAnswer(True, FiniteSupportFunction(m))
     if any(len(p) != phi.k for p in v.support()):
         raise ValueError("support dimension does not match the automorphism rank")
 
@@ -217,6 +243,7 @@ def are_twisted_conjugate_sigma(
     # support values not yet read; popping them reads each value once
     remaining = dict(v.items())
     entries: list[tuple[Vector, int]] = []
+    truncated = False  # some open-orbit walk reached the window with kept points unread
     while remaining:
         start = min(remaining)
         r = affine_period(a, x0, start)
@@ -233,27 +260,31 @@ def are_twisted_conjugate_sigma(
                 c = (c + power * vals[r - j]) % m
             a0 = _solve_congruence((1 - pow(u, r, m)) % m, c, m)
             if a0 is None:
-                return False, None
+                return SigmaAnswer(False)
             coeffs = [a0]
             for i in range(1, r):
                 coeffs.append((vals[i] + u * coeffs[i - 1]) % m)
             entries.extend(zip(seq, coeffs))
         else:
             # open orbit: the window runs at most orbit_window steps each way
-            # and stops once every remaining support point is on it; points
-            # further along are zero, and the telescope reads only lo..hi
+            # and stops once no unread point can be on it; points further
+            # along are zero, and the telescope reads only lo..hi
             if backward is None:
                 a_inv = a.inverse()
                 backward = tuple(zip(a_inv.rows, vec_neg(a_inv.apply(x0))))
+            sieve = OrbitSieve(a, x0, start)
+            waiting = remaining.keys() - {start}  # unread points the sieve keeps
             back, fwd = [start], [start]
-            missing = len(remaining) - 1
             for _ in range(orbit_window):
-                if not missing:
+                if not waiting:
                     break
                 p, q = step(backward, back[-1]), step(forward, fwd[-1])
                 back.append(p)
                 fwd.append(q)
-                missing -= (p in remaining) + (q in remaining)
+                waiting.discard(p)
+                waiting.discard(q)
+                waiting = sieve.sift(waiting)
+            truncated = truncated or bool(waiting)
             line = back[:0:-1] + fwd
             vals = [remaining.pop(q, 0) for q in line]
             support_idx = [i for i, val in enumerate(vals) if val]
@@ -266,10 +297,10 @@ def are_twisted_conjugate_sigma(
             if coeff:
                 # telescope does not terminate: a finitely supported
                 # preimage would need an infinite tail
-                return False, None
+                return SigmaAnswer(False, bound=BOUND_ORBIT_WINDOW if truncated else None)
     witness = FiniteSupportFunction(m, entries)
     assert h1 - h2 == witness - phi.apply_base(witness)
-    return True, witness
+    return SigmaAnswer(True, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +312,7 @@ class ConjugacyAnswer:
     status: str  # yes | no | unknown
     witness: Optional[WreathElement] = None
     reason: Optional[str] = None
+    bound: Optional[str] = None  # the bound an inexact no or an unknown depends on
 
 
 def _bfs_generators(m: int, k: int) -> tuple[WreathElement, ...]:
@@ -307,11 +339,13 @@ def are_twisted_conjugate_full(
     mismatch of the translations modulo (I - A) Z^k is an exact No.  When
     det(I - A) != 0 the translation part of any conjugator is forced to the
     unique solution z of (I - A) z = t_h - t_g, which reduces the question
-    to one solvable system in the base subgroup: the answer is then an
-    exact Yes (with verified witness) or No.  In the degenerate case
-    det(I - A) = 0, base sums that differ modulo gcd(1 - u, m) are an exact
-    No; otherwise a breadth-first search over twisted transforms decides,
-    and reports Unknown once ``budget`` nodes are expanded.
+    to one solvable system in the base subgroup: the answer is then a Yes
+    (with verified witness) or a No, exact unless ``bound`` names
+    ``BOUND_ORBIT_WINDOW`` (see ``are_twisted_conjugate_sigma``).  In the
+    degenerate case det(I - A) = 0, base sums that differ modulo
+    gcd(1 - u, m) are an exact No; otherwise a breadth-first search over
+    twisted transforms decides, and reports Unknown, with the bound
+    ``BOUND_SEARCH_BUDGET``, once ``budget`` nodes are expanded.
     """
     if g.m != phi.m or h.m != phi.m or g.k != phi.k or h.k != phi.k:
         raise ValueError("elements from a different group")
@@ -331,12 +365,14 @@ def are_twisted_conjugate_full(
         # conjugator translation is forced; one base-subgroup solve decides
         v = h.f - g.f.translate(z)
         phi_eff = WreathAutomorphism(a, phi.m, phi.u, vec_add(phi.x0, h.t))
-        ok, c = are_twisted_conjugate_sigma(
+        base = are_twisted_conjugate_sigma(
             phi_eff, v, FiniteSupportFunction(phi.m), orbit_window
         )
+        ok, c = base
         if not ok:
             return ConjugacyAnswer(
-                NO, reason="base equation unsolvable for the forced conjugator translation"
+                NO, reason="base equation unsolvable for the forced conjugator translation",
+                bound=base.bound,
             )
         w = WreathElement(c, z)
         assert twisted_transform(phi, g, w) == h
@@ -390,7 +426,8 @@ def are_twisted_conjugate_full(
                 parent[nxt] = (cur, i)
                 nodes += 1
                 if nodes >= budget:
-                    return ConjugacyAnswer(UNKNOWN, reason="search budget exhausted")
+                    return ConjugacyAnswer(UNKNOWN, reason="search budget exhausted",
+                                           bound=BOUND_SEARCH_BUDGET)
                 queue.append(nxt)
     return ConjugacyAnswer(NO, reason="twisted class exhausted without reaching target")
 

@@ -22,6 +22,9 @@ Four sections hold earlier implementations that now serve as referees:
 * the base-subgroup verdict as it was before it became one unit test at the
   order of A: it tries every realized period s against the offset's period
   t, and referees ``classify_sigma``.
+
+``walk_residue_cycle`` walks a point mod a prime in plain arithmetic and
+referees the packed steps of ``OrbitSieve``.
 """
 
 import math
@@ -397,6 +400,24 @@ def walk_affine_period(a: IntMatrix, x0: Vector, x: Vector):
         y = vec_add(a.apply(y), x0)
         if y == x:
             return r
+    return None
+
+
+def walk_residue_cycle(a: IntMatrix, x0: Vector, x: Vector, prime: int, cap: int):
+    """The cycle of x mod prime under T(y) = A y + x0 mod prime, or None.
+
+    None when the cycle does not close within ``cap`` steps.  Plain
+    arithmetic, one coordinate at a time: the referee for the packed steps
+    of ``OrbitSieve``.
+    """
+    start = tuple(c % prime for c in x)
+    cycle, y = {start}, start
+    for _ in range(cap):
+        y = tuple((sum(r * c for r, c in zip(row, y)) + c0) % prime
+                  for row, c0 in zip(a.rows, x0))
+        if y == start:
+            return cycle
+        cycle.add(y)
     return None
 
 

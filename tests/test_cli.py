@@ -252,7 +252,11 @@ def test_twisted_eq_support_far_apart_on_one_orbit(tmp_path, capsys):
         p = a.apply(p)
     h = WreathElement(FiniteSupportFunction(2, [(q, 1) for q in points]), (0, 0))
     assert main(["twisted-eq", str(path), "f=[] t=(0,0)", format_element(h)]) == EXIT_OK
-    assert "answer: no" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "answer: no" in out
+    # the walk from p reached the window with A^700 p unread, so the no
+    # names the bound it depends on
+    assert "bound: orbit_window" in out
 
 
 def test_twisted_eq_search_exhausts_the_class(capsys):
@@ -285,6 +289,7 @@ def test_twisted_eq_json_witness_checks_out(capsys):
     assert main(argv) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "yes"
+    assert "bound" not in report  # a yes carries a checked witness
     w = element_from_json(report["witness"], 2)
     phi = WreathAutomorphism(IntMatrix([[2, 1], [1, 1]]), 2, 1, (0, 0))
     assert twisted_transform(phi, parse_element(g, 2), w) == parse_element(h, 2)
@@ -525,7 +530,8 @@ def test_twisted_eq_rejects_budget_below_one(budget, capsys):
     assert "--budget must be >= 1" in capsys.readouterr().err
     argv[-1] = "1"
     assert main([*argv, "--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["status"] == "unknown"
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["bound"]) == ("unknown", "search_budget")
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle-classes"])

@@ -13,7 +13,10 @@ from sympy.matrices.normalforms import invariant_factors
 
 from lamptwist.devices import fixed_characters
 from lamptwist.lattice import (
+    SIEVE_CAP,
+    SIEVE_PRIMES,
     IntMatrix,
+    OrbitSieve,
     PrimalityBoundError,
     _charpoly,
     _cyclotomic,
@@ -46,6 +49,7 @@ from helpers import (
     torsion_order_bound,
     walk_period,
     walk_realized_periods,
+    walk_residue_cycle,
 )
 
 M3 = IntMatrix([[0, 1], [-1, -1]])
@@ -455,6 +459,52 @@ def test_lift_split_is_read_off_the_split_of_a(a, rng):
     # chi of [[A, x0], [0, 1]] is chi_A * (x - 1), whatever x0 is
     x0 = tuple(rng.randrange(-3, 4) for _ in range(a.k))
     assert _lift_split(a) == _cyclotomic_split(lift(a, x0))
+
+
+# hyperbolic: x^2 - 3x + 1 (the cat map), x^2 - 3x - 1 and x^2 - 5x + 1
+HYPERBOLIC_BLOCKS = [CAT, IntMatrix([[0, 1], [1, 3]]), IntMatrix([[0, 1], [-1, 5]])]
+
+
+@st.composite
+def hyperbolic_conjugates(draw):
+    """Hyperbolic 2 x 2 blocks, next to finite-order ones or not, up to k = 16, conjugated."""
+    rng = draw(st.randoms(use_true_random=False))
+    blocks = [draw(st.sampled_from(HYPERBOLIC_BLOCKS))]
+    for _ in range(draw(st.integers(0, 7))):
+        fits = [b for b in HYPERBOLIC_BLOCKS + FINITE_BLOCKS
+                if sum(c.k for c in blocks) + b.k <= 16]
+        if not fits:
+            break
+        blocks.append(draw(st.sampled_from(fits)))
+    a = IntMatrix.block_diagonal(*draw(st.permutations(blocks)))
+    p = random_unimodular(rng, a.k, 6)
+    return p * a * p.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(orbit_matrices(), st.just(CAT), hyperbolic_conjugates()),
+       st.integers(-40, 40), st.randoms(use_true_random=False))
+def test_residue_sieve_keeps_every_point_of_the_orbit(a, n, rng):
+    # q = T^n p for T(y) = A y + x0: a residue cycle of p that closes holds
+    # q mod l, so the sieve keeps q
+    x0 = tuple(rng.randrange(-3, 4) for _ in range(a.k))
+    base = tuple(rng.randrange(-3, 4) for _ in range(a.k))
+    far = base
+    for _ in range(abs(n)):
+        far = vec_add(a.apply(far), x0)
+    p, q = (base, far) if n >= 0 else (far, base)
+    other = tuple(rng.randrange(-3, 4) for _ in range(a.k))
+    admitted = {q, other}
+    for prime in SIEVE_PRIMES:
+        cycle = walk_residue_cycle(a, x0, p, prime, SIEVE_CAP)
+        if cycle is not None:
+            assert tuple(c % prime for c in q) in cycle
+            admitted = {y for y in admitted if tuple(c % prime for c in y) in cycle}
+    # the sieve, grown a step per sift, keeps what every closed cycle admits
+    sieve, kept = OrbitSieve(a, x0, p), {q, other}
+    for _ in range(SIEVE_CAP):
+        kept = sieve.sift(kept)
+    assert kept == admitted
 
 
 # ---------------------------------------------------------------------------

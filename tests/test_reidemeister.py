@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -9,8 +10,20 @@ from sympy import Matrix, eye, primefactors
 
 from lamptwist import lattice, reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
-from lamptwist.lattice import IntMatrix, affine_period, det, orbit_period, solve, unit_vector
+from lamptwist.lattice import (
+    SIEVE_CAP,
+    SIEVE_PRIMES,
+    IntMatrix,
+    OrbitSieve,
+    affine_period,
+    det,
+    orbit_period,
+    solve,
+    unit_vector,
+)
 from lamptwist.reidemeister import (
+    BOUND_ORBIT_WINDOW,
+    BOUND_SEARCH_BUDGET,
     DEFAULT_ORBIT_WINDOW,
     HAS_R_INFINITY,
     NO,
@@ -21,6 +34,7 @@ from lamptwist.reidemeister import (
     RULE_INFINITE_ORBIT,
     RULE_NON_EPI,
     STATUS_UNKNOWN,
+    UNKNOWN,
     YES,
     ConjugacyAnswer,
     _bfs_generators,
@@ -50,6 +64,7 @@ from helpers import (
     stepwise_twisted_conjugate_sigma,
     torsion_order_bound,
     walk_affine_period,
+    walk_residue_cycle,
     walk_twisted_conjugate_sigma,
 )
 
@@ -484,6 +499,20 @@ def test_open_orbit_window_groups_points_at_most_window_apart(a, window):
 
 
 CAT_CAT = IntMatrix.block_diagonal(CAT, CAT)
+# cat, order-3, x^2 - 3x - 1 and x^2 - 5x + 1 blocks, twice: their orders mod
+# 7, 11 and 13 have lcm 336, 120 and 546, so the residue cycle of a point with
+# a component in every block closes within SIEVE_CAP at none of SIEVE_PRIMES
+_MIXED = [CAT, M3, IntMatrix([[0, 1], [1, 3]]), IntMatrix([[0, 1], [-1, 5]])]
+RANK16_OPEN = _P16 * IntMatrix.block_diagonal(*_MIXED, *_MIXED) * _P16.inverse()
+
+
+def test_rank16_open_case_closes_no_residue_cycle():
+    rng = random.Random(3)
+    for _ in range(4):
+        x0 = tuple(rng.randrange(-2, 3) for _ in range(16))
+        p = tuple(rng.randrange(-2, 3) for _ in range(16))
+        assert all(walk_residue_cycle(RANK16_OPEN, x0, p, prime, SIEVE_CAP) is None
+                   for prime in SIEVE_PRIMES)
 
 
 @st.composite
@@ -491,16 +520,19 @@ def open_orbit_supports(draw):
     """(phi, v, window): runs along one or several open orbits of x -> A x + x0.
 
     A is the cat map or cat + cat, whose only periodic point is the fixed
-    point (I - A)^-1 x0.  Each run adds c (delta_(T^s p) - u^d delta_(T^(s+d) p)),
+    point (I - A)^-1 x0, or ``RANK16_OPEN``, whose residue cycles almost
+    never close, so the walk waits for every remaining point as it did
+    before the sieve.  Each run adds c (delta_(T^s p) - u^d delta_(T^(s+d) p)),
     the boundary of c sum_(i<d) u^i delta_(T^(s+i) p), with d on either side
     of the window; runs share an orbit or not, and v sometimes gets a stray
     value on one of its points.
     """
-    a = draw(st.sampled_from([CAT, CAT_CAT]))
+    a = draw(st.sampled_from([CAT, CAT_CAT, RANK16_OPEN]))
     k = a.k
     m = draw(st.sampled_from([2, 3, 5]))
     u = draw(st.sampled_from(units(m)))
-    window = draw(st.sampled_from([3, 8, 512]))
+    # at rank 16 the referees' full-window walks of 512 steps take seconds
+    window = draw(st.sampled_from([3, 8] if k == 16 else [3, 8, 512]))
     small = st.integers(-2, 2)
     x0 = tuple(draw(small) for _ in range(k))
     phi = WreathAutomorphism(a, m, u, x0)
@@ -533,6 +565,77 @@ def test_open_orbit_early_stop_matches_the_full_window_walk(case):
     answer = are_twisted_conjugate_sigma(phi, v, zero, window)
     assert answer == stepwise_twisted_conjugate_sigma(phi, v, zero, window)
     assert answer[0] == walk_twisted_conjugate_sigma(phi, v, window)
+
+
+@pytest.mark.parametrize(
+    "a, p, q",
+    [(CAT, (1, 0), (0, 1)), (CAT_CAT, (1, 0, 0, 0), (0, 0, 1, 0))],
+    ids=["cat", "cat+cat"],
+)
+def test_residue_sieve_ends_each_walk_near_its_own_stretch(a, p, q, monkeypatch):
+    # (0, 1) is an odd Fibonacci step from (1, 0), so it is off (1, 0)'s cat
+    # orbit, and mod 7 the 8-cycle of (1, 0) misses it; under cat + cat the
+    # two points lie in different invariant planes
+    k, m, u = a.k, 5, 2
+    phi = WreathAutomorphism(a, m, u, (0,) * k)
+    ap, aq = a.apply(p), a.apply(q)
+    sieve, kept = OrbitSieve(a, phi.x0, p), {q, aq}
+    for _ in range(SIEVE_CAP):
+        kept = sieve.sift(kept)
+    assert kept == set()
+    # delta_x - u delta_(A x) is the boundary of delta_x: one step on each orbit
+    v = FiniteSupportFunction(m, [(p, 1), (ap, -u), (q, 1), (aq, -u)])
+    zero = FiniteSupportFunction(m)
+    steps = []
+
+    class CountingSieve(OrbitSieve):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steps.append(0)
+
+        def sift(self, points):
+            steps[-1] += 1
+            return super().sift(points)
+
+    monkeypatch.setattr(reidemeister, "OrbitSieve", CountingSieve)
+    answer = are_twisted_conjugate_sigma(phi, v, zero)
+    assert answer == stepwise_twisted_conjugate_sigma(phi, v, zero)
+    assert answer[0] and answer.bound is None
+    # the walk from q reads its stretch, then waits only until a residue
+    # cycle closes (the cat map has order 8, 5 and 14 mod 7, 11 and 13) and
+    # drops p's stretch; the walk from p ends on reading its stretch
+    assert len(steps) == 2 and steps[0] <= 14 and steps[1] == 1
+
+
+def test_window_bound_names_the_orbit_split_by_the_window():
+    # v = w - phi'(w) for w = delta on 11 consecutive points of one cat-map
+    # orbit, so v's support is 12 consecutive orbit points: a window of 4
+    # splits the orbit and answers an inexact no, wider windows group it
+    m, u = 5, 2
+    phi = WreathAutomorphism(CAT, m, u, (0, 0))
+    path = [(1, 0)]
+    for _ in range(10):
+        path.append(CAT.apply(path[-1]))
+    w = FiniteSupportFunction(m, [(x, 1) for x in path])
+    v = w - phi.apply_base(w)
+    assert len(v.support()) == 12
+    zero = FiniteSupportFunction(m)
+    split = are_twisted_conjugate_sigma(phi, v, zero, orbit_window=4)
+    assert split == (False, None) and split.bound == BOUND_ORBIT_WINDOW
+    g, h = WreathElement.identity(m, 2), WreathElement(v, (0, 0))
+    assert are_twisted_conjugate_full(phi, g, h, orbit_window=4) == ConjugacyAnswer(
+        NO, reason="base equation unsolvable for the forced conjugator translation",
+        bound=BOUND_ORBIT_WINDOW,
+    )
+    for window in (16, 512):
+        grouped = are_twisted_conjugate_sigma(phi, v, zero, window)
+        assert grouped[0] and grouped.bound is None
+        assert v == grouped[1] - phi.apply_base(grouped[1])
+        answer = are_twisted_conjugate_full(phi, g, h, orbit_window=window)
+        assert answer.status == YES and answer.bound is None
+    # an exact no: delta_p alone is never a boundary on an open orbit
+    single = are_twisted_conjugate_sigma(phi, FiniteSupportFunction.delta(m, (1, 0)), zero, 4)
+    assert single == (False, None) and single.bound is None
 
 
 def test_sigma_rejects_inner_twists():
@@ -686,6 +789,16 @@ def base_sums_differ(phi, g, h):
     return diff % math.gcd(1 - phi.u, phi.m) != 0
 
 
+def as_referee_answers(answer):
+    """A degenerate-case answer without its bound, which the referee does not name.
+
+    The bound is ``search_budget`` exactly on ``unknown``: every other
+    answer of the search is exact.
+    """
+    assert answer.bound == (BOUND_SEARCH_BUDGET if answer.status == UNKNOWN else None)
+    return dataclasses.replace(answer, bound=None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(degenerate_pairs(), st.sampled_from([1, 5, 50, 300]))
 def test_search_matches_the_element_referee(pair, budget):
@@ -698,7 +811,7 @@ def test_search_matches_the_element_referee(pair, budget):
         assert answer == ConjugacyAnswer(NO, reason=SUM_REASON)
         assert referee.status != YES
         return
-    assert answer == referee
+    assert as_referee_answers(answer) == referee
     if answer.status == YES:
         # a yes at one budget is a yes at every larger one: bisect for the first
         lo, hi = 1, budget
@@ -709,7 +822,7 @@ def test_search_matches_the_element_referee(pair, budget):
             else:
                 lo = mid + 1
         for b in {max(lo - 1, 1), lo}:
-            assert are_twisted_conjugate_full(phi, g, h, b) == (
+            assert as_referee_answers(are_twisted_conjugate_full(phi, g, h, b)) == (
                 element_twisted_conjugate_full(phi, g, h, b))
 
 
