@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import chain, count, product
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -183,6 +183,12 @@ def det(m: IntMatrix) -> int:
 
 def is_unimodular(m: IntMatrix) -> bool:
     return abs(det(m)) == 1
+
+
+@lru_cache(maxsize=256)
+def _inverse(a: IntMatrix) -> IntMatrix:
+    """``a.inverse()``, kept per matrix, so repeated queries on one map take one Smith form."""
+    return a.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +463,49 @@ def _poly_divmod(f: Poly, d: Poly) -> tuple[Poly, Poly]:
     return tuple(q), tuple(f[:n])
 
 
+Columns = tuple[Vector, ...]  # a matrix as its columns
+
+
+def _times(rows: tuple[Vector, ...], cols: Columns) -> Columns:
+    """The columns of A M, from the rows of A and the columns of M."""
+    return tuple(tuple(sum(map(mul, row, col)) for row in rows) for col in cols)
+
+
+@lru_cache(maxsize=1)
+def _power_columns(a: IntMatrix) -> tuple[Columns, ...]:
+    """The columns of A^1 .. A^h for h = ceil(k / 2), in that order: h - 1 products.
+
+    ``_charpoly`` and ``realized_periods`` read the table for one matrix
+    one right after the other, so a single cached table serves both.
+    """
+    table = [tuple(zip(*a.rows))]
+    for _ in range((a.k + 1) // 2 - 1):
+        table.append(_times(a.rows, table[-1]))
+    return tuple(table)
+
+
 @lru_cache(maxsize=256)
 def _charpoly(a: IntMatrix) -> Poly:
-    """det(x I - A) by Faddeev-LeVerrier.
+    """det(x I - A) from the power sums p_j = tr(A^j), by Newton's identities.
 
-    With M_1 = I and M_(j+1) = A M_j + c_(k-j) I, the coefficient of x^(k-j)
-    is c_(k-j) = -tr(A M_j) / j, and each division by j is exact over Z.
+    With c_j the coefficient of x^(k-j), c_0 = 1 and
+    j c_j = -(c_(j-1) p_1 + c_(j-2) p_2 + ... + c_0 p_j), and each division
+    by j is exact over Z.  For j <= h = ceil(k / 2), p_j is the diagonal sum
+    of A^j from ``_power_columns``.  For j > h, p_j = tr(A^h A^(j-h)) pairs
+    the rows of A^h with the columns of A^(j-h), j - h <= k - h <= h,
+    entry by entry, so no power past A^h is formed.
     """
-    rows = a.rows
-    k = len(rows)
-    coeffs = [0] * k + [1]
-    am = [list(row) for row in rows]  # A M_1
+    k = a.k
+    table = _power_columns(a)
+    h = len(table)
+    top_rows = [x for row in zip(*table[-1]) for x in row]  # A^h, row after row
+    sums = [sum(cols[i][i] for i in range(k)) for cols in table]
+    sums += [sum(map(mul, top_rows, chain.from_iterable(table[j - h - 1])))
+             for j in range(h + 1, k + 1)]
+    c = [1]
     for j in range(1, k + 1):
-        c = -sum(am[i][i] for i in range(k)) // j
-        coeffs[k - j] = c
-        if j == k:
-            break
-        for i in range(k):
-            am[i][i] += c  # now M_(j+1)
-        cols = tuple(zip(*am))
-        am = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-    return tuple(coeffs)
+        c.append(-sum(map(mul, reversed(c), sums)) // j)
+    return tuple(reversed(c))
 
 
 def _totient(n: int) -> int:
@@ -587,6 +615,12 @@ def _orbit_coords(rows: tuple[Vector, ...], x: Vector,
     for _ in range(len(split.squarefree) - 1):
         y = krylov[-1]
         krylov.append(tuple(sum(map(mul, row, y)) for row in rows))
+    return _periodic_coords(krylov, split)
+
+
+def _periodic_coords(krylov: list[Vector],
+                     split: _CyclotomicSplit) -> Optional[list[Vector]]:
+    """The coordinates of x, A x, ..., A^(deg C) x, or None if C(A) x != 0."""
     coords = list(zip(*krylov))
     if any(sum(map(mul, split.squarefree, c)) for c in coords):
         return None
@@ -753,12 +787,22 @@ def realized_periods(a: IntMatrix) -> OrbitReport:
     witness the sum of the w_i over the subset.  For infinite order, only
     periods of standard basis vectors are collected and the order is
     reported as None.
+
+    The Krylov vectors A^j e_i, j <= deg C, of every basis vector are the
+    i-th columns of I, A, ..., A^(deg C).  Up to A^h they come from the
+    table that ``_charpoly`` built; the powers past it, when deg C > h, are
+    formed here and not kept.
     """
     split = _cyclotomic_split(a)
     if abs(split.cofactor[0]) != 1:  # |chi_A(0)| = |det A| and Phi_n(0) = +-1
         raise ValueError("realized_periods requires a unimodular matrix")
     k = a.k
-    coords = [_orbit_coords(a.rows, unit_vector(k, i), split) for i in range(k)]
+    deg = len(split.squarefree) - 1
+    powers = [tuple(unit_vector(k, i) for i in range(k))]
+    powers += _power_columns(a)[:deg]
+    while len(powers) <= deg:
+        powers.append(_times(a.rows, powers[-1]))
+    coords = [_periodic_coords([cols[i] for cols in powers], split) for i in range(k)]
     basis = tuple(None if c is None else _period(split, c) for c in coords)
     realized: dict[int, Vector] = {1: zero_vector(k)}
     if None in basis:

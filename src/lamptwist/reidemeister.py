@@ -22,6 +22,7 @@ from .lattice import (
     OrbitSieve,
     Vector,
     _charpoly,
+    _inverse,
     _is_prime,
     _prime_factors,
     _totient,
@@ -270,7 +271,7 @@ def are_twisted_conjugate_sigma(
             # and stops once no unread point can be on it; points further
             # along are zero, and the telescope reads only lo..hi
             if backward is None:
-                a_inv = a.inverse()
+                a_inv = _inverse(a)
                 backward = tuple(zip(a_inv.rows, vec_neg(a_inv.apply(x0))))
             sieve = OrbitSieve(a, x0, start)
             waiting = remaining.keys() - {start}  # unread points the sieve keeps

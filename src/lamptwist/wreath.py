@@ -23,6 +23,7 @@ from typing import Iterable, Optional
 from .lattice import (
     IntMatrix,
     Vector,
+    _inverse,
     as_vector,
     is_unimodular,
     vec_add,
@@ -240,7 +241,7 @@ class WreathAutomorphism:
         return self.inner * std * self.inner.inverse()
 
     def inverse(self) -> "WreathAutomorphism":
-        a_inv = self.matrix.inverse()
+        a_inv = _inverse(self.matrix)
         u_inv = pow(self.u, -1, self.m)
         x0_inv = vec_neg(a_inv.apply(self.x0))
         std_inv = WreathAutomorphism(a_inv, self.m, u_inv, x0_inv)

@@ -25,12 +25,19 @@ Four sections hold earlier implementations that now serve as referees:
 
 ``walk_residue_cycle`` walks a point mod a prime in plain arithmetic and
 referees the packed steps of ``OrbitSieve``.
+
+Two more referees hold the orbit analysis as it was before it was read off
+one table of powers A^1 .. A^ceil(k/2): ``faddeev_leverrier_charpoly``
+forms k - 1 matrix products and referees ``_charpoly``, and
+``krylov_realized_periods`` walks each basis vector's Krylov vectors one
+matrix-vector product at a time and referees ``realized_periods``.
 """
 
 import math
 from collections import deque
 from functools import lru_cache
 from itertools import permutations, product
+from operator import mul
 from typing import Optional
 
 from lamptwist.finite_oracle import (
@@ -45,8 +52,11 @@ from lamptwist.lattice import (
     OrbitReport,
     SmithDecomposition,
     Vector,
+    _cyclotomic_split,
     _divisors,
+    _evaluate,
     _is_prime,
+    _period,
     _prime_factors,
     det,
     is_unimodular,
@@ -382,6 +392,61 @@ def _exact_period_witness(
         if any(w) and walk_period(a, w, order) == r:
             return w
     raise AssertionError("no exact-period witness found; rank test violated")
+
+
+def faddeev_leverrier_charpoly(a: IntMatrix) -> tuple[int, ...]:
+    """det(x I - A) by Faddeev-LeVerrier.
+
+    With M_1 = I and M_(j+1) = A M_j + c_(k-j) I, the coefficient of x^(k-j)
+    is c_(k-j) = -tr(A M_j) / j, and each division by j is exact over Z.
+    """
+    rows = a.rows
+    k = len(rows)
+    coeffs = [0] * k + [1]
+    am = [list(row) for row in rows]  # A M_1
+    for j in range(1, k + 1):
+        c = -sum(am[i][i] for i in range(k)) // j
+        coeffs[k - j] = c
+        if j == k:
+            break
+        for i in range(k):
+            am[i][i] += c  # now M_(j+1)
+        cols = tuple(zip(*am))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    return tuple(coeffs)
+
+
+def _krylov_orbit_coords(rows, x, split):
+    """Per coordinate, its values on x, A x, ..., A^(deg C) x; None if C(A) x != 0."""
+    krylov = [x]
+    for _ in range(len(split.squarefree) - 1):
+        y = krylov[-1]
+        krylov.append(tuple(sum(map(mul, row, y)) for row in rows))
+    coords = list(zip(*krylov))
+    if any(sum(map(mul, split.squarefree, c)) for c in coords):
+        return None
+    return coords
+
+
+def krylov_realized_periods(a: IntMatrix) -> OrbitReport:
+    """``realized_periods`` with one Krylov walk per basis vector."""
+    split = _cyclotomic_split(a)
+    if abs(split.cofactor[0]) != 1:
+        raise ValueError("realized_periods requires a unimodular matrix")
+    k = a.k
+    coords = [_krylov_orbit_coords(a.rows, unit_vector(k, i), split) for i in range(k)]
+    basis = tuple(None if c is None else _period(split, c) for c in coords)
+    realized: dict[int, Vector] = {1: zero_vector(k)}
+    if None in basis:
+        for i, per in enumerate(basis):
+            if per is not None and per not in realized:
+                realized[per] = unit_vector(k, i)
+        return OrbitReport(None, tuple(sorted(realized.items())), basis)
+    for n, p in zip(split.indices, split.parts):
+        w = next(w for w in (_evaluate(p, c) for c in coords) if any(w))
+        for r, v in list(realized.items()):
+            realized.setdefault(math.lcm(r, n), vec_add(v, w))
+    return OrbitReport(math.lcm(*split.indices), tuple(sorted(realized.items())), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lamptwist.lattice import (
     _divisors,
     _is_prime,
     _lift_split,
+    _power_columns,
     _prime_factors,
     affine_period,
     coset_representatives,
@@ -43,6 +44,8 @@ from lamptwist.reidemeister import reidemeister_number
 from lamptwist.wreath import WreathAutomorphism
 
 from helpers import (
+    faddeev_leverrier_charpoly,
+    krylov_realized_periods,
     lift,
     random_finite_order_unimodular,
     random_unimodular,
@@ -322,6 +325,37 @@ def test_charpoly_matches_sympy(m):
     assert _charpoly(m) == tuple(int(c) for c in reversed(ref))
 
 
+@st.composite
+def charpoly_matrices(draw):
+    """Square integer matrices, k <= 16, entries up to 10^30: raw, forced
+    singular, unimodular, or unimodular times diag(d, 1, ..., 1), d >= 2."""
+    k = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["raw", "singular", "unimodular", "scaled"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind in ("unimodular", "scaled"):
+        a = random_unimodular(rng, k, draw(st.integers(1, 48)))
+        if kind == "unimodular":
+            return a
+        d = draw(st.integers(2, 10 ** 30))
+        return a * IntMatrix([[d if i == j == 0 else int(i == j) for j in range(k)]
+                              for i in range(k)])
+    bound = draw(st.sampled_from([1, 9, 10 ** 6, 10 ** 30]))
+    rows = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+    if kind == "singular":
+        coeffs = [rng.randint(-3, 3) for _ in range(k - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(k)]
+    return IntMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(charpoly_matrices())
+def test_charpoly_matches_faddeev_leverrier(m):
+    # Newton's identities on the power sums pair A^ceil(k/2) with lower
+    # powers; the k - 1 products of Faddeev-LeVerrier referee them
+    assert len(_power_columns(m)) == (m.k + 1) // 2
+    assert _charpoly.__wrapped__(m) == faddeev_leverrier_charpoly(m)
+
+
 def test_cyclotomic_table_matches_sympy():
     x = sympy.Symbol("x")
     for n in range(1, 121):
@@ -370,6 +404,43 @@ def test_orbit_analysis_matches_the_walk_referee(a, rng):
     if report.order is not None:
         x = tuple(rng.randrange(-3, 4) for _ in range(a.k))
         assert point_period(a, x) == walk_period(a, x, report.order)
+
+
+@st.composite
+def large_block_conjugates(draw):
+    """Finite-order blocks, after a cat, shear or other hyperbolic block or
+    not, filling k = 12 .. 16, conjugated."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(12, 16))
+    blocks = draw(st.sampled_from([[], [CAT], [SHEAR], HYPERBOLIC_BLOCKS[1:2]]))
+    while sum(b.k for b in blocks) < k:
+        fits = [b for b in FINITE_BLOCKS if sum(c.k for c in blocks) + b.k <= k]
+        blocks.append(draw(st.sampled_from(fits)))
+    a = IntMatrix.block_diagonal(*draw(st.permutations(blocks)))
+    p = random_unimodular(rng, k, 6)
+    return p * a * p.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(orbit_matrices(), large_block_conjugates()))
+def test_realized_periods_matches_the_krylov_referee(a):
+    assert realized_periods.__wrapped__(a) == krylov_realized_periods(a)
+
+
+def test_realized_periods_extends_the_power_table_past_half_the_rank():
+    # deg C > ceil(k / 2): the Krylov vectors past A^h are formed locally
+    rng = random.Random(14)
+    finite = [companion(_cyclotomic(n)) for n in (5, 8, 12)]  # degree 4 each
+    cases = [(IntMatrix.block_diagonal(*finite), 120),  # deg C = 12
+             (IntMatrix.block_diagonal(SHEAR, companion(_cyclotomic(3)), *finite), None),
+             (IntMatrix.block_diagonal(*finite, companion(_cyclotomic(3)), -I2), 120)]  # k = 16
+    for a, order in cases:
+        p = random_unimodular(rng, a.k, 8)
+        a = p * a * p.inverse()
+        assert len(_cyclotomic_split(a).squarefree) - 1 > (a.k + 1) // 2
+        report = realized_periods.__wrapped__(a)
+        assert report == krylov_realized_periods(a)
+        assert report.order == order
 
 
 def test_matrix_order_at_rank_16_needs_few_products(monkeypatch):
