@@ -30,7 +30,6 @@ from .finite_oracle import (
 from .lattice import (
     IntMatrix,
     OrbitReport,
-    PrimalityBoundError,
     realized_periods,
     smith_normal_form,
 )
@@ -39,7 +38,6 @@ from .reidemeister import (
     are_twisted_conjugate_full,
     r_infinity_status,
     reidemeister_number,
-    unit_order,
 )
 from .wreath import (
     WreathAutomorphism,
@@ -193,11 +191,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     phi = _load_spec(args)
     verdict = reidemeister_number(phi)
     report = realized_periods(phi.matrix)  # cached: a hit unless the rule is det-zero
-    d = unit_order(phi.u, phi.m)
     if args.json:
         out = verdict.to_json()
         out["orbit_report"] = _orbit_report_json(report)
-        out["unit_order"] = d
         print(json.dumps(out))
         return EXIT_OK
     if verdict.finite:
@@ -205,7 +201,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         print(f"verdict: infinite, rule = {verdict.rule}")
     print(f"certificate witness: {verdict.witness}")
-    print(f"unit order d = {d}")
     _print_orbit_report(report)
     return EXIT_OK
 
@@ -221,12 +216,9 @@ def cmd_group_status(args: argparse.Namespace) -> int:
             {"m": args.m, "k": args.k, "status": status.status, "witness_spec": witness_spec}
         ))
         return EXIT_OK
-    # the witness's R needs the totient of m, which may hit the primality
-    # bound: decide it before the first line is printed
-    verdict = reidemeister_number(status.example) if status.example else None
     print(f"Z_{args.m} wr Z^{args.k}: {status.status}")
-    if verdict is not None:
-        print(f"witness automorphism (R = {verdict.value}):")
+    if status.example is not None:
+        print(f"witness automorphism (R = {reidemeister_number(status.example).value}):")
         print(json.dumps(witness_spec, indent=2))
     return EXIT_OK
 
@@ -443,7 +435,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PrimalityBoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -23,7 +23,6 @@ from .lattice import (
     Vector,
     _charpoly,
     _inverse,
-    _is_prime,
     _prime_factors,
     _totient,
     affine_period,
@@ -112,7 +111,9 @@ def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
     s = L is realized, and lcm(L, t) = L.  For r | L, x^r - 1 divides
     x^L - 1, so 1 - u^r divides 1 - u^L in Z, and a prime of m dividing
     the one divides the other.  So some block fails exactly when
-    gcd(1 - u^L, m) != 1, whatever x0 and the inner twist are.
+    gcd(1 - u^L, m) != 1, whatever x0 and the inner twist are.  The
+    cylinder certificate carries d, L and gcd(1 - u^L, m) = 1, which
+    together prove R = |d|.
     """
     if d == 0:
         raise ValueError("classify_sigma requires det(I - A) != 0")
@@ -128,7 +129,7 @@ def classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVerdict:
     if gap != 1:
         witness = {"order": order, "unit_gap": gap}
         return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness)
-    witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
+    witness = {"det_i_minus_a": d, "order": order, "unit_gap": gap}
     return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness)
 
 
@@ -337,15 +338,15 @@ def are_twisted_conjugate_full(
     """Decide whether g and h lie in the same twisted class of phi.
 
     Projecting to the translation quotient is always necessary, so a coset
-    mismatch of the translations modulo (I - A) Z^k is an exact No.  When
-    det(I - A) != 0 the translation part of any conjugator is forced to the
-    unique solution z of (I - A) z = t_h - t_g, which reduces the question
-    to one solvable system in the base subgroup: the answer is then a Yes
-    (with verified witness) or a No, exact unless ``bound`` names
-    ``BOUND_ORBIT_WINDOW`` (see ``are_twisted_conjugate_sigma``).  In the
-    degenerate case det(I - A) = 0, base sums that differ modulo
-    gcd(1 - u, m) are an exact No; otherwise a breadth-first search over
-    twisted transforms decides, and reports Unknown, with the bound
+    mismatch of the translations modulo (I - A) Z^k is an exact No.  So are
+    base sums that differ modulo gcd(1 - u, m), whatever det(I - A) is.
+    When det(I - A) != 0 the translation part of any conjugator is forced
+    to the unique solution z of (I - A) z = t_h - t_g, which reduces the
+    question to one solvable system in the base subgroup: the answer is
+    then a Yes (with verified witness) or a No, exact unless ``bound``
+    names ``BOUND_ORBIT_WINDOW`` (see ``are_twisted_conjugate_sigma``).  In
+    the degenerate case det(I - A) = 0 a breadth-first search over twisted
+    transforms decides, and reports Unknown, with the bound
     ``BOUND_SEARCH_BUDGET``, once ``budget`` nodes are expanded.
     """
     if g.m != phi.m or h.m != phi.m or g.k != phi.k or h.k != phi.k:
@@ -362,6 +363,11 @@ def are_twisted_conjugate_full(
     z = solve(i_minus_a, dt)
     if z is None:
         return ConjugacyAnswer(NO, reason="translations lie in different quotient classes")
+    m = phi.m
+    # the base sum is a homomorphism onto Z_m that standard phi multiplies
+    # by u, so h = w g phi(w)^-1 gives sum h - sum g = (1 - u) sum w
+    if sum(val for _, val in (h.f - g.f).items()) % math.gcd(1 - phi.u, m):
+        return ConjugacyAnswer(NO, reason="base sums differ modulo gcd(1 - u, m)")
     if sum(_charpoly(a)) != 0:  # det(I - A) = chi_A(1)
         # conjugator translation is forced; one base-subgroup solve decides
         v = h.f - g.f.translate(z)
@@ -380,12 +386,7 @@ def are_twisted_conjugate_full(
         return ConjugacyAnswer(YES, witness=w)
     # degenerate quotient: search the twisted class breadth-first
     if g == h:
-        return ConjugacyAnswer(YES, witness=WreathElement.identity(phi.m, phi.k))
-    m = phi.m
-    # the base sum is a homomorphism onto Z_m that standard phi multiplies
-    # by u, so h = w g phi(w)^-1 gives sum h - sum g = (1 - u) sum w
-    if sum(val for _, val in (h.f - g.f).items()) % math.gcd(1 - phi.u, m):
-        return ConjugacyAnswer(NO, reason="base sums differ modulo gcd(1 - u, m)")
+        return ConjugacyAnswer(YES, witness=WreathElement.identity(m, phi.k))
     gens = _bfs_generators(m, phi.k)
     # gen * (cf, ct) * tail = (gf + cf shifted by gt + tf shifted by gt + ct, gt + ct + tt)
     moves = []
@@ -439,7 +440,6 @@ def are_twisted_conjugate_full(
 
 HAS_R_INFINITY = "has-r-infinity"
 NOT_R_INFINITY = "not-r-infinity"
-STATUS_UNKNOWN = "unknown"
 
 ORDER_THREE_BLOCK = IntMatrix([[0, 1], [-1, -1]])
 
@@ -453,29 +453,27 @@ class GroupStatus:
 def r_infinity_status(m: int, k: int) -> GroupStatus:
     """Does every automorphism of Z_m wr Z^k have infinitely many classes?
 
-    Decided cases: rank k = 1 for any m by the coprimality of m with 6;
-    m = 2 always; m = 3 depending on the parity of k, with the
-    block-of-order-3 witness for even k; and prime m > 3 via A = -I, u = 2.
-    Composite m with k >= 2 is undecided and reported as unknown.
+    Decided for every m >= 2 and k >= 1 from m mod 6 and the parity of k,
+    with no factoring:
+
+    * m even, or 3 | m with k odd: R-infinity.  The base B is exactly the
+      set of torsion elements (an element with translation t != 0 maps to
+      t in the torsion-free Z^k), so B is characteristic, and so is pB.
+      For a prime p | m, G / pB = Z_p wr Z^k, and the twisted classes of
+      an automorphism map onto those of the automorphism it induces on the
+      quotient.  Z_2 wr Z^k has R-infinity in every rank, and Z_3 wr Z^k in
+      odd rank, so G inherits it.
+    * 3 | m otherwise (m odd, k even): k/2 blocks of order 3 with u = m - 1.
+      At L = 3, 1 - u^3 = 2 mod m is a unit, and det(I - A) = 3^(k/2).
+    * gcd(m, 6) = 1: A = -I with u = 2.  At L = 2, 1 - u^2 = -3 is a unit,
+      and det(I - A) = 2^k.
     """
     if m < 2 or k < 1:
         raise ValueError("need modulus >= 2 and rank >= 1")
-    if k == 1:  # needs no primality test, so it holds for any m
-        if math.gcd(m, 6) == 1:
-            example = WreathAutomorphism(IntMatrix([[-1]]), m, 2, (0,))
-            return GroupStatus(NOT_R_INFINITY, example)
+    if m % 2 == 0 or (m % 3 == 0 and k % 2):
         return GroupStatus(HAS_R_INFINITY)
-    if m == 2:
-        return GroupStatus(HAS_R_INFINITY)
-    if m == 3:
-        if k % 2:
-            return GroupStatus(HAS_R_INFINITY)
-        blocks = [ORDER_THREE_BLOCK] * (k // 2)
-        example = WreathAutomorphism(
-            IntMatrix.block_diagonal(*blocks), 3, 2, zero_vector(k)
-        )
-        return GroupStatus(NOT_R_INFINITY, example)
-    if _is_prime(m):
-        example = WreathAutomorphism(-IntMatrix.identity(k), m, 2, zero_vector(k))
-        return GroupStatus(NOT_R_INFINITY, example)
-    return GroupStatus(STATUS_UNKNOWN)
+    if m % 3 == 0:
+        a, u = IntMatrix.block_diagonal(*[ORDER_THREE_BLOCK] * (k // 2)), m - 1
+    else:
+        a, u = -IntMatrix.identity(k), 2
+    return GroupStatus(NOT_R_INFINITY, WreathAutomorphism(a, m, u, zero_vector(k)))

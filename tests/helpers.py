@@ -23,6 +23,11 @@ Four sections hold earlier implementations that now serve as referees:
   order of A: it tries every realized period s against the offset's period
   t, and referees ``classify_sigma``.
 
+``factoring_r_infinity_status`` is the group-level answer as it was
+before it became a rule on m mod 6 and the parity of k: it decides k = 1,
+m = 2, m = 3 and prime m, answers "unknown" elsewhere, and referees
+``r_infinity_status`` wherever it decides.
+
 ``walk_residue_cycle`` walks a point mod a prime in plain arithmetic and
 referees the packed steps of ``OrbitSieve``.
 
@@ -73,13 +78,17 @@ from lamptwist.lattice import (
 from lamptwist.reidemeister import (
     DEFAULT_ORBIT_WINDOW,
     DEFAULT_SEARCH_BUDGET,
+    HAS_R_INFINITY,
     NO,
+    NOT_R_INFINITY,
+    ORDER_THREE_BLOCK,
     RULE_CYLINDER,
     RULE_INFINITE_ORBIT,
     RULE_NON_EPI,
     UNKNOWN,
     YES,
     ConjugacyAnswer,
+    GroupStatus,
     ReidemeisterVerdict,
     _bfs_generators,
     _solve_congruence,
@@ -734,3 +743,34 @@ def periodwise_classify_sigma(phi: WreathAutomorphism, d: int) -> ReidemeisterVe
             return ReidemeisterVerdict(False, None, RULE_NON_EPI, witness)
     witness = {"det_i_minus_a": d, "unit_order": unit_order(phi.u, m)}
     return ReidemeisterVerdict(True, abs(d), RULE_CYLINDER, witness)
+
+
+def factoring_r_infinity_status(m: int, k: int) -> GroupStatus:
+    """Does every automorphism of Z_m wr Z^k have infinitely many classes?
+
+    Decided cases: rank k = 1 for any m by the coprimality of m with 6;
+    m = 2 always; m = 3 depending on the parity of k, with the
+    block-of-order-3 witness for even k; and prime m > 3 via A = -I, u = 2.
+    Composite m with k >= 2 is undecided and reported as unknown.
+    """
+    if m < 2 or k < 1:
+        raise ValueError("need modulus >= 2 and rank >= 1")
+    if k == 1:  # needs no primality test, so it holds for any m
+        if math.gcd(m, 6) == 1:
+            example = WreathAutomorphism(IntMatrix([[-1]]), m, 2, (0,))
+            return GroupStatus(NOT_R_INFINITY, example)
+        return GroupStatus(HAS_R_INFINITY)
+    if m == 2:
+        return GroupStatus(HAS_R_INFINITY)
+    if m == 3:
+        if k % 2:
+            return GroupStatus(HAS_R_INFINITY)
+        blocks = [ORDER_THREE_BLOCK] * (k // 2)
+        example = WreathAutomorphism(
+            IntMatrix.block_diagonal(*blocks), 3, 2, zero_vector(k)
+        )
+        return GroupStatus(NOT_R_INFINITY, example)
+    if _is_prime(m):
+        example = WreathAutomorphism(-IntMatrix.identity(k), m, 2, zero_vector(k))
+        return GroupStatus(NOT_R_INFINITY, example)
+    return GroupStatus("unknown")

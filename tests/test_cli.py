@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lamptwist
-from lamptwist import cli, finite_oracle
+from lamptwist import cli, finite_oracle, lattice, reidemeister
 from lamptwist.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -68,8 +68,11 @@ def test_classify_json(casep3_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "finite"
     assert report["value"] == 3
-    assert report["certificate"]["rule"] == "cylinder"
-    assert report["unit_order"] == 2
+    assert report["certificate"] == {
+        "rule": "cylinder",
+        "witness": {"det_i_minus_a": 3, "order": 3, "unit_gap": 1},
+    }
+    assert "unit_order" not in report
     assert report["orbit_report"]["order"] == 3
 
 
@@ -156,60 +159,81 @@ def test_group_status(capsys):
     witness = spec_from_json(report["witness_spec"])
     assert witness.matrix == -IntMatrix.identity(2)
 
-    assert main(["group-status", "9", "2"]) == EXIT_OK
-    assert "unknown" in capsys.readouterr().out
+    assert main(["group-status", "9", "2", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "not-r-infinity"
+    witness = spec_from_json(report["witness_spec"])
+    assert (witness.matrix, witness.u) == (ORDER_THREE_BLOCK, 8)
+
+    assert main(["group-status", "4", "2"]) == EXIT_OK
+    assert "has-r-infinity" in capsys.readouterr().out
 
     assert main(["group-status", "3", "17"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: rank k must be in 1..16\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # m = 999999937 * 1000000007: trial division would take minutes
-        ["classify", "--m", "999999943999999559", "--u", "2", "--matrix", "-1"],
-        ["group-status", "999999943999999559", "2"],
-    ],
+def _large_modulus_argv(command, m, k, as_json):
+    if command == "classify":
+        matrix = ";".join(",".join("-1" if i == j else "0" for j in range(k)) for i in range(k))
+        argv = ["classify", "--m", m, "--u", "2", f"--matrix={matrix}"]
+    else:
+        argv = ["group-status", m, str(k)]
+    return argv + ["--json"] * as_json
+
+
+LARGE_MODULI = (
+    "999999943999999559",  # 999999937 * 1000000007: trial division would take minutes
+    "3317044064679887385961981",  # a strong pseudoprime to every Miller-Rabin base 2..41
+    "30000000000000000017000000000000000002067",  # nextprime(10^20) * nextprime(3 * 10^20)
 )
+# the first two are classify at k = 1 and group-status at k = 2 on the first modulus
+LARGE_MODULUS_ARGVS = [_large_modulus_argv("classify", LARGE_MODULI[0], 1, False)] + [
+    _large_modulus_argv(command, m, k, as_json)
+    for m in LARGE_MODULI
+    for k in (2, 1)
+    for command in ("group-status", "classify")
+    for as_json in (False, True)
+    if (command, m, k, as_json) != ("classify", LARGE_MODULI[0], 1, False)
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_MODULUS_ARGVS)
 def test_large_composite_modulus_is_fast(argv, capsys):
+    """m coprime to 6: A = -I with u = 2 has R = 2^k, read off gcd(1 - u^2, m) = 1."""
     started = time.perf_counter()
     assert main(argv) == EXIT_OK
     assert time.perf_counter() - started < 1.0
     out = capsys.readouterr().out
-    assert ("R = 2" in out) if argv[0] == "classify" else ("unknown" in out)
+    k = int(argv[2]) if argv[0] == "group-status" else argv[5].count(";") + 1  # A = -I_k
+    if "--json" not in argv:
+        assert f"R = {2 ** k}" in out
+    elif argv[0] == "classify":
+        assert json.loads(out)["value"] == 2 ** k
+    else:
+        report = json.loads(out)
+        assert report["status"] == "not-r-infinity"
+        witness = spec_from_json(report["witness_spec"])
+        assert (witness.matrix, witness.u) == (-IntMatrix.identity(k), 2)
 
 
-# composite, and a strong pseudoprime to every Miller-Rabin base the engine uses
-STRONG_PSEUDOPRIME = "3317044064679887385961981"
+def test_no_cli_path_factors_the_modulus(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a CLI path factored the modulus")
 
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["group-status", STRONG_PSEUDOPRIME, "2"],
-        ["classify", "--m", STRONG_PSEUDOPRIME, "--u", "2", "--matrix", "-1"],
-    ],
-)
-def test_modulus_past_the_primality_bound_is_an_input_error(argv, capsys):
-    started = time.perf_counter()
-    assert main(argv) == EXIT_INPUT
-    assert time.perf_counter() - started < 1.0
-    assert "only below 3317044064679887385961981" in capsys.readouterr().err
-
-
-def test_rank_one_group_status_needs_no_primality_test(capsys):
-    started = time.perf_counter()
-    assert main(["group-status", STRONG_PSEUDOPRIME, "1", "--json"]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "not-r-infinity"
-    assert spec_from_json(report["witness_spec"]).matrix == IntMatrix([[-1]])
-    # the text form prints the witness's R, whose unit order needs phi(m):
-    # it fails before anything is printed
-    assert main(["group-status", STRONG_PSEUDOPRIME, "1"]) == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "only below 3317044064679887385961981" in err
-    assert time.perf_counter() - started < 1.0
+    monkeypatch.setattr(reidemeister, "unit_order", refuse)
+    monkeypatch.setattr(lattice, "_is_prime", refuse)
+    inline = ["--m", "35", "--u", "2", "--matrix=-1"]
+    for argv in (
+        ["classify", *inline],
+        ["classify", *inline, "--json"],
+        ["group-status", "35", "2"],
+        ["group-status", "35", "2", "--json"],
+        ["twisted-eq", *inline, "f=[(0):1] t=(0)", "f=[] t=(1)"],
+        ["verify", *inline, "2"],
+    ):
+        assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "R = 2, rule = cylinder" in out and "R = 4" in out and "match: True" in out
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
@@ -237,26 +261,42 @@ def test_twisted_eq(casep3_file, capsys):
     assert main(["twisted-eq", casep3_file, "garbage", "f=[] t=(0,0)"]) == EXIT_INPUT
 
 
-def test_twisted_eq_support_far_apart_on_one_orbit(tmp_path, capsys):
-    # p, A^300 p and A^700 p: the default window from A^700 p reaches back to
-    # A^300 p, which the window from p already took.  With u = 1 the value
-    # sum mod m is a class invariant, and here it is 3 = 1 mod 2.
+def _cat_map_support(tmp_path, steps):
+    """The cat-map spec (m = 2, u = 1) and delta functions at A^n p, n in steps."""
     spec = {"version": 1, "m": 2, "k": 2, "u": 1, "matrix": [[2, 1], [1, 1]], "x0": [0, 0]}
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(spec))
     a = IntMatrix(spec["matrix"])
     points, p = [], (1, 0)
-    for n in range(701):
-        if n in (0, 300, 700):
+    for n in range(max(steps) + 1):
+        if n in steps:
             points.append(p)
         p = a.apply(p)
     h = WreathElement(FiniteSupportFunction(2, [(q, 1) for q in points]), (0, 0))
-    assert main(["twisted-eq", str(path), "f=[] t=(0,0)", format_element(h)]) == EXIT_OK
+    return str(path), format_element(h)
+
+
+def test_twisted_eq_support_far_apart_on_one_orbit(tmp_path, capsys):
+    # p and A^700 p: the value sum is 2 = 0 mod 2, so the base-sum test
+    # passes, and the walk from p reaches the default window of 512 steps
+    # with A^700 p unread.  The pair is twisted conjugate (a window of 800
+    # finds the witness), so the no must name the bound it depends on.
+    path, h = _cat_map_support(tmp_path, (0, 700))
+    assert main(["twisted-eq", path, "f=[] t=(0,0)", h]) == EXIT_OK
     out = capsys.readouterr().out
     assert "answer: no" in out
-    # the walk from p reached the window with A^700 p unread, so the no
-    # names the bound it depends on
     assert "bound: orbit_window" in out
+
+
+def test_twisted_eq_base_sum_decides_before_the_orbit_walk(tmp_path, capsys):
+    # p, A^300 p and A^700 p: with u = 1 the value sum mod m is a class
+    # invariant, and here it is 3 = 1 mod 2, an exact no whatever the window
+    path, h = _cat_map_support(tmp_path, (0, 300, 700))
+    assert main(["twisted-eq", path, "f=[] t=(0,0)", h, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "no",
+        "reason": "base sums differ modulo gcd(1 - u, m)",
+    }
 
 
 def test_twisted_eq_search_exhausts_the_class(capsys):

@@ -10,6 +10,7 @@ from sympy import Matrix, eye, primefactors
 
 from lamptwist import lattice, reidemeister
 from lamptwist.devices import cyclic_block_det, delta_chain_check
+from lamptwist.finite_oracle import fibre_class_count, induce_automorphism
 from lamptwist.lattice import (
     SIEVE_CAP,
     SIEVE_PRIMES,
@@ -33,7 +34,6 @@ from lamptwist.reidemeister import (
     RULE_DET_ZERO,
     RULE_INFINITE_ORBIT,
     RULE_NON_EPI,
-    STATUS_UNKNOWN,
     UNKNOWN,
     YES,
     ConjugacyAnswer,
@@ -55,6 +55,7 @@ from lamptwist.wreath import (
 
 from helpers import (
     element_twisted_conjugate_full,
+    factoring_r_infinity_status,
     lift,
     periodwise_classify_sigma,
     random_element,
@@ -290,9 +291,10 @@ def test_certificates_recheck_without_the_engine(phi):
         assert verdict.rule == RULE_CYLINDER
         assert verdict.value == abs(d) == abs(witness["det_i_minus_a"])
         assert witness["det_i_minus_a"] == d
-        order = witness["unit_order"]
-        assert pow(u, order, m) == 1
-        assert all(pow(u, e, m) != 1 for e in range(1, order))
+        order = witness["order"]
+        assert a ** order == eye(k)
+        assert all(a ** (order // p) != eye(k) for p in primefactors(order))
+        assert witness["unit_gap"] == math.gcd((1 - u ** order) % m, m) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -857,10 +859,51 @@ def test_r_infinity_status_table():
     assert r_infinity_status(35, 1).status == NOT_R_INFINITY
     assert r_infinity_status(4, 1).status == HAS_R_INFINITY
     assert r_infinity_status(6, 1).status == HAS_R_INFINITY
-    assert r_infinity_status(9, 2).status == STATUS_UNKNOWN
-    assert r_infinity_status(35, 2).status == STATUS_UNKNOWN
+    assert r_infinity_status(9, 2).status == NOT_R_INFINITY
+    assert r_infinity_status(35, 2).status == NOT_R_INFINITY
+    assert r_infinity_status(4, 2).status == HAS_R_INFINITY
+    assert r_infinity_status(15, 4).status == NOT_R_INFINITY
+    assert r_infinity_status(6, 3).status == HAS_R_INFINITY
+    assert r_infinity_status(21, 2).status == NOT_R_INFINITY
     with pytest.raises(ValueError):
         r_infinity_status(1, 1)
+
+
+def test_r_infinity_status_matches_the_factoring_referee():
+    """The rule on m mod 6 and the parity of k agrees wherever the old one decided."""
+    decided = 0
+    for m in range(2, 200):
+        for k in range(1, 17):
+            ref = factoring_r_infinity_status(m, k)
+            if ref.status != "unknown":
+                assert r_infinity_status(m, k) == ref
+                decided += 1
+    assert decided == 888  # k = 1 for every m, and m = 2, 3 or prime for k >= 2
+
+
+def test_r_infinity_status_decides_every_group():
+    """A decided status for every m and k; every example is finite, 2^k or 3^(k/2)."""
+    for m in range(2, 200):
+        for k in range(1, 17):
+            status = r_infinity_status(m, k)
+            assert status.status in (HAS_R_INFINITY, NOT_R_INFINITY)
+            assert (status.status == NOT_R_INFINITY) == (status.example is not None)
+            if status.example is not None:
+                verdict = reidemeister_number(status.example)
+                assert verdict.finite
+                assert verdict.value == (3 ** (k // 2) if m % 3 == 0 else 2 ** k)
+
+
+@pytest.mark.parametrize("m", [9, 15, 21, 25, 35, 45, 49, 77])
+def test_composite_witnesses_match_the_quotient_count(m):
+    """R of each former unknown's example, counted on the quotient at its exponent."""
+    n = 3 if m % 3 == 0 else 2  # the exponent of Z^k / (I - A) Z^k
+    for k in range(1, 5):
+        example = r_infinity_status(m, k).example
+        if example is None:
+            continue
+        aut = induce_automorphism(example, n, 10 ** 400)
+        assert fibre_class_count(aut.group, aut) == reidemeister_number(example).value
 
 
 def test_r_infinity_witnesses_are_finite():
